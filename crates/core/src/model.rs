@@ -339,7 +339,11 @@ impl Rckt {
     /// model's parameters by name, order and shape
     /// ([`ParamStore::check_layout`]); otherwise the model is unchanged.
     pub fn load_weights(&mut self, json: &str) -> Result<(), String> {
-        let saved = ParamStore::load_json(json)?;
+        self.set_weights(ParamStore::load_json(json)?)
+    }
+
+    /// [`Rckt::load_weights`] for weights already parsed.
+    pub(crate) fn set_weights(&mut self, saved: ParamStore) -> Result<(), String> {
         self.store.check_layout(&saved)?;
         self.store = saved;
         Ok(())
@@ -821,7 +825,7 @@ impl Rckt {
     /// The factual half of exact inference: one generator pass over the
     /// target-masked factual sequences, returning `p(correct)` at each
     /// sequence's target. This is the per-prefix state an online server
-    /// caches; the counterfactual half ([`Rckt::exact_influence_entries`])
+    /// caches; the counterfactual half (`Rckt::exact_influence_entries`)
     /// consumes it without recomputing the pass.
     pub fn factual_target_probs(&self, batch: &Batch, targets: &[usize]) -> Vec<f32> {
         let factual_per_seq = self.masked_factual_cats(batch, targets);
@@ -1193,6 +1197,47 @@ mod tests {
             last = m.train_batch(&batches[0], 5.0, &mut rng);
         }
         assert!(last < first, "{first} -> {last}");
+    }
+
+    /// Each parameter's buffer address and values, in registration order.
+    fn buffers(store: &ParamStore) -> Vec<(*const f32, Vec<f32>)> {
+        store
+            .ids()
+            .map(|p| (store.data(p).as_ptr(), store.data(p).to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn train_batch_updates_every_parameter_in_place() {
+        let (ds, _, batches) = tiny(0.03, 8);
+        for grad_shards in [1, 2] {
+            let mut m = Rckt::new(
+                Backbone::Dkt,
+                ds.num_questions(),
+                ds.num_concepts(),
+                RcktConfig {
+                    dim: 16,
+                    heads: 2,
+                    grad_shards,
+                    ..Default::default()
+                },
+            );
+            let before = buffers(&m.store);
+            m.train_batch(&batches[0], 5.0, &mut SmallRng::seed_from_u64(1));
+            let after = buffers(&m.store);
+            let mut moved = 0;
+            for (((p0, v0), (p1, v1)), id) in before.iter().zip(&after).zip(m.store.ids()) {
+                assert_eq!(
+                    p0, p1,
+                    "{grad_shards} shard(s): parameter {id:?} was copied"
+                );
+                moved += usize::from(v0 != v1);
+            }
+            assert!(
+                moved > 0,
+                "{grad_shards} shard(s): the step moved no weight"
+            );
+        }
     }
 
     #[test]

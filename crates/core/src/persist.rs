@@ -6,6 +6,7 @@ use crate::config::{Backbone, RcktConfig};
 use crate::model::Rckt;
 use rckt_data::QMatrix;
 use rckt_obs::json::{self, FromJson, JsonValue, ObjectReader, ToJson};
+use rckt_tensor::{ParamStore, Shape};
 
 /// Format version, bumped on breaking layout changes.
 pub const MODEL_FILE_VERSION: u32 = 1;
@@ -198,16 +199,22 @@ impl Rckt {
     }
 
     /// Rebuild a model from an already-parsed [`SavedModel`].
+    ///
+    /// The weights are parsed first: their size is bounded by the file,
+    /// while the config's fields are bare numbers. Every field that sizes
+    /// an allocation is checked against the saved shapes before
+    /// [`Rckt::new`] allocates anything.
     pub fn from_saved(saved: &SavedModel) -> Result<Rckt, PersistError> {
+        let invalid = |e: String| PersistError::Invalid(format!("weights: {e}"));
+        let weights = ParamStore::load_json(&saved.weights).map_err(invalid)?;
+        check_config(saved, &weights).map_err(PersistError::Invalid)?;
         let mut model = Rckt::new(
             saved.backbone,
             saved.num_questions,
             saved.num_concepts,
             saved.config.clone(),
         );
-        model
-            .load_weights(&saved.weights)
-            .map_err(|e| PersistError::Invalid(format!("weights: {e}")))?;
+        model.set_weights(weights).map_err(invalid)?;
         Ok(model)
     }
 
@@ -217,10 +224,151 @@ impl Rckt {
     }
 }
 
+/// Check each field of a saved model that sizes an allocation in
+/// [`Rckt::new`] against the parameter shapes in `weights`: `dim`, the
+/// two vocabularies, `layers`, and on attention backbones `max_len` and
+/// `heads`. A model built from a config that passes is no larger than the
+/// weights the file holds; [`ParamStore::check_layout`] then checks every
+/// parameter's name, order and shape.
+fn check_config(saved: &SavedModel, weights: &ParamStore) -> Result<(), String> {
+    let cfg = &saved.config;
+    let d = cfg.dim;
+    // `field` sizes parameter `name`, which the weights hold with shape
+    // `got` (if at all); `want` is the shape the field implies.
+    let expect = |field: &str, name: &str, got: Option<Shape>, want: Option<Shape>| match got {
+        Some(got) if Some(got) == want => Ok(()),
+        Some(got) => Err(format!(
+            "`{field}` does not match the weights: `{name}` has shape {got:?}"
+        )),
+        None => Err(format!("`{field}`: the weights have no `{name}`")),
+    };
+    let named = |name: &str| weights.id(name).map(|id| *weights.shape(id));
+    let d2 = d.checked_mul(2).map(|d2| Shape::matrix(d2, d));
+    expect("dim", "head.l1.w", named("head.l1.w"), d2)?;
+    // The question and concept tables are the first two parameters of
+    // every backbone; their names are left to `check_layout`.
+    let mut first = weights.ids().map(|id| *weights.shape(id));
+    let q = Shape::matrix(saved.num_questions, d);
+    expect("num_questions", "emb.q", first.next(), Some(q))?;
+    let k = Shape::matrix(saved.num_concepts, d);
+    expect("num_concepts", "emb.k", first.next(), Some(k))?;
+    let layer_param: fn(usize) -> String = match saved.backbone {
+        Backbone::Dkt => |l| format!("enc.fwd.l{l}.w_ih"),
+        Backbone::Sakt | Backbone::Akt => |l| format!("enc.blk{l}.ln_q.gamma"),
+    };
+    let layers = (0..)
+        .take_while(|&l| weights.id(&layer_param(l)).is_some())
+        .count();
+    if cfg.layers != layers {
+        return Err(format!(
+            "`layers` is {}, the weights hold {layers}",
+            cfg.layers
+        ));
+    }
+    if saved.backbone != Backbone::Dkt {
+        let pos = Shape::matrix(cfg.max_len, d);
+        expect("max_len", "enc.pos", named("enc.pos"), Some(pos))?;
+        if cfg.heads == 0 || d % cfg.heads != 0 {
+            return Err(format!(
+                "`heads` ({}) does not divide `dim` ({d})",
+                cfg.heads
+            ));
+        }
+        if saved.backbone == Backbone::Akt && layers > 0 {
+            let theta = "enc.blk0.attf.theta";
+            expect("heads", theta, named(theta), Some(Shape::vector(cfg.heads)))?;
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rckt_data::{make_batches, windows, SyntheticSpec};
+
+    /// A small model of `backbone`, exported and parsed back.
+    fn saved(backbone: Backbone) -> SavedModel {
+        let ds = SyntheticSpec::assist09().scaled(0.05).generate();
+        let model = Rckt::new(
+            backbone,
+            ds.num_questions(),
+            ds.num_concepts(),
+            RcktConfig {
+                dim: 8,
+                heads: 2,
+                layers: 2,
+                max_len: 64,
+                ..Default::default()
+            },
+        );
+        SavedModel::parse(&model.export(ds.num_questions(), ds.num_concepts())).unwrap()
+    }
+
+    /// `edit` makes a field disagree with the weights; the model must be
+    /// refused, naming the field, before anything is allocated for it.
+    fn refused(backbone: Backbone, field: &str, edit: impl FnOnce(&mut SavedModel)) {
+        let mut file = saved(backbone);
+        assert!(Rckt::from_saved(&file).is_ok());
+        edit(&mut file);
+        match Rckt::from_saved(&file) {
+            Err(PersistError::Invalid(e)) => assert!(e.contains(field), "{field}: {e}"),
+            other => panic!("{field}: expected Invalid, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn a_huge_dim_is_refused_before_allocating() {
+        refused(Backbone::Dkt, "`dim`", |s| s.config.dim = 1_000_000);
+        refused(Backbone::Dkt, "`dim`", |s| s.config.dim = usize::MAX);
+    }
+
+    #[test]
+    fn a_huge_layer_count_is_refused_before_allocating() {
+        refused(Backbone::Dkt, "`layers`", |s| s.config.layers = 1_000_000);
+        refused(Backbone::Akt, "`layers`", |s| s.config.layers = 1_000_000);
+    }
+
+    #[test]
+    fn a_huge_question_vocabulary_is_refused_before_allocating() {
+        refused(Backbone::Dkt, "`num_questions`", |s| {
+            s.num_questions = 1 << 40
+        });
+    }
+
+    #[test]
+    fn a_huge_concept_vocabulary_is_refused_before_allocating() {
+        refused(Backbone::Dkt, "`num_concepts`", |s| {
+            s.num_concepts = 1 << 40
+        });
+    }
+
+    #[test]
+    fn a_huge_max_len_is_refused_before_allocating() {
+        refused(Backbone::Sakt, "`max_len`", |s| s.config.max_len = 1 << 40);
+    }
+
+    #[test]
+    fn a_declared_shape_must_hold_its_values() {
+        // A huge vocabulary that the declared table shape agrees with,
+        // but whose values the file does not hold.
+        let huge = 1usize << 40;
+        refused(Backbone::Dkt, "`emb.q` has", |s| {
+            let table = format!("\"shape\":[{},8]", s.num_questions);
+            assert!(s.weights.contains(&table), "{table}");
+            s.weights = s
+                .weights
+                .replacen(&table, &format!("\"shape\":[{huge},8]"), 1);
+            s.num_questions = huge;
+        });
+    }
+
+    #[test]
+    fn heads_must_divide_dim_and_match_the_weights() {
+        refused(Backbone::Sakt, "`heads`", |s| s.config.heads = 0);
+        refused(Backbone::Sakt, "`heads`", |s| s.config.heads = 1_000_000);
+        refused(Backbone::Akt, "`heads`", |s| s.config.heads = 4);
+    }
 
     #[test]
     fn export_import_roundtrip_preserves_predictions() {

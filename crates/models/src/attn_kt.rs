@@ -14,7 +14,7 @@
 //!   concept variation vector).
 
 use crate::common::{eval_positions, eval_weights, factual_cats, KtEmbedding, Prediction};
-use crate::model::{sgd_fit, FitReport, KtModel, SgdModel, TrainConfig};
+use crate::model::{descend, sgd_fit, FitReport, KtModel, SgdModel, TrainConfig};
 use rckt_data::{Batch, QMatrix, Window};
 use rckt_obs::rng::SmallRng;
 use rckt_tensor::layers::{
@@ -272,17 +272,11 @@ fn mean_heads(g: &Graph, weights: &[Tx]) -> Vec<f32> {
 
 impl SgdModel for AttnKt {
     fn train_batch(&mut self, batch: &Batch, clip_norm: f32, rng: &mut SmallRng) -> f32 {
-        self.store.zero_grads();
         let mut g = Graph::new();
         let (logits, _) = self.forward(&mut g, batch, true, rng);
         let (weights, norm) = eval_weights(batch);
         let loss = g.bce_with_logits(logits, &batch.correct, &weights, norm);
-        let val = g.value(loss);
-        g.backward(loss);
-        self.store.accumulate_grads(&g);
-        self.store.clip_grad_norm(clip_norm);
-        self.adam.step(&mut self.store);
-        val
+        descend(g, loss, &mut self.store, &mut self.adam, clip_norm)
     }
 
     fn snapshot(&self) -> String {

@@ -531,7 +531,7 @@ mod tests {
         );
         let valid = vec![true; batch * t_len];
         let h = enc.encode(&mut g, &store, e, a, batch, t_len, &valid, false, &mut rng);
-        assert_eq!(g.shape(h).0, vec![batch * t_len, d]);
+        assert_eq!(g.shape(h).dims(), vec![batch * t_len, d]);
         assert!(g.data(h).iter().all(|v| v.is_finite()));
     }
 }

@@ -213,9 +213,9 @@ mod tests {
         let (batch, _) = toy_batch();
         let mut g = Graph::new();
         let e = emb.questions(&mut g, &store, &batch);
-        assert_eq!(g.shape(e).0, vec![8, 8]);
+        assert_eq!(g.shape(e).dims(), vec![8, 8]);
         let a = emb.interactions(&mut g, &store, e, &factual_cats(&batch));
-        assert_eq!(g.shape(a).0, vec![8, 8]);
+        assert_eq!(g.shape(a).dims(), vec![8, 8]);
     }
 
     #[test]

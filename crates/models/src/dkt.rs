@@ -4,7 +4,7 @@
 //! encoders.
 
 use crate::common::{eval_positions, eval_weights, factual_cats, KtEmbedding, Prediction};
-use crate::model::{sgd_fit, FitReport, KtModel, SgdModel, TrainConfig};
+use crate::model::{descend, sgd_fit, FitReport, KtModel, SgdModel, TrainConfig};
 use rckt_data::{Batch, QMatrix, Window};
 use rckt_obs::rng::SmallRng;
 use rckt_tensor::layers::{Lstm, PredictionMlp};
@@ -94,17 +94,11 @@ impl Dkt {
 
 impl SgdModel for Dkt {
     fn train_batch(&mut self, batch: &Batch, clip_norm: f32, rng: &mut SmallRng) -> f32 {
-        self.store.zero_grads();
         let mut g = Graph::new();
         let logits = self.logits(&mut g, batch, true, rng);
         let (weights, norm) = eval_weights(batch);
         let loss = g.bce_with_logits(logits, &batch.correct, &weights, norm);
-        let val = g.value(loss);
-        g.backward(loss);
-        self.store.accumulate_grads(&g);
-        self.store.clip_grad_norm(clip_norm);
-        self.adam.step(&mut self.store);
-        val
+        descend(g, loss, &mut self.store, &mut self.adam, clip_norm)
     }
 
     fn snapshot(&self) -> String {
@@ -179,6 +173,31 @@ mod tests {
             last < first_loss,
             "loss should decrease: {first_loss} -> {last}"
         );
+    }
+
+    #[test]
+    fn train_batch_updates_every_parameter_in_place() {
+        let ds = SyntheticSpec::assist09().scaled(0.02).generate();
+        let ws = windows(&ds, 20, 5);
+        let idx: Vec<usize> = (0..ws.len()).collect();
+        let batches = make_batches(&ws, &idx, &ds.q_matrix, 8);
+        let mut model = Dkt::new(ds.num_questions(), ds.num_concepts(), DktConfig::default());
+        let store = &model.store;
+        let before: Vec<(*const f32, Vec<f32>)> = store
+            .ids()
+            .map(|p| (store.data(p).as_ptr(), store.data(p).to_vec()))
+            .collect();
+        model.train_batch(&batches[0], 5.0, &mut SmallRng::seed_from_u64(1));
+        let mut moved = 0;
+        for (p, (ptr, old)) in model.store.ids().zip(&before) {
+            assert_eq!(
+                model.store.data(p).as_ptr(),
+                *ptr,
+                "parameter {p:?} was copied"
+            );
+            moved += usize::from(model.store.data(p) != old.as_slice());
+        }
+        assert!(moved > 0, "the step moved the weights");
     }
 
     #[test]

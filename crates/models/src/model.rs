@@ -4,6 +4,7 @@ use crate::common::Prediction;
 use rckt_data::{make_batches, Batch, QMatrix, Window};
 use rckt_metrics::{accuracy, auc, EarlyStopping};
 use rckt_obs::rng::SmallRng;
+use rckt_tensor::{Adam, Graph, ParamStore, Tx};
 use std::time::Instant;
 
 /// Training hyper-parameters shared by all models.
@@ -80,6 +81,29 @@ pub trait SgdModel {
     /// Snapshot the weights (for best-epoch restore).
     fn snapshot(&self) -> String;
     fn restore(&mut self, snapshot: &str);
+}
+
+/// One optimizer step on the scalar `loss` of `g`; returns its value.
+///
+/// The graph is taken by value and dropped once its gradients are
+/// harvested, before Adam writes the weights: a graph still alive at that
+/// point would share every parameter buffer it read, and each write would
+/// copy one.
+pub(crate) fn descend(
+    mut g: Graph,
+    loss: Tx,
+    store: &mut ParamStore,
+    adam: &mut Adam,
+    clip_norm: f32,
+) -> f32 {
+    let val = g.value(loss);
+    store.zero_grads();
+    g.backward(loss);
+    store.accumulate_grads(&g);
+    drop(g);
+    store.clip_grad_norm(clip_norm);
+    adam.step(store);
+    val
 }
 
 /// Generic epoch-loop driver shared by every trainable model: epoch

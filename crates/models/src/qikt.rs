@@ -9,7 +9,7 @@
 //! auxiliary BCE loss, so every component keeps a calibrated meaning.
 
 use crate::common::{eval_positions, eval_weights, factual_cats, KtEmbedding, Prediction};
-use crate::model::{sgd_fit, FitReport, KtModel, SgdModel, TrainConfig};
+use crate::model::{descend, sgd_fit, FitReport, KtModel, SgdModel, TrainConfig};
 use rckt_data::{Batch, QMatrix, Window};
 use rckt_obs::rng::SmallRng;
 use rckt_tensor::layers::{Lstm, PredictionMlp};
@@ -146,7 +146,6 @@ impl Qikt {
 
 impl SgdModel for Qikt {
     fn train_batch(&mut self, batch: &Batch, clip_norm: f32, rng: &mut SmallRng) -> f32 {
-        self.store.zero_grads();
         let mut g = Graph::new();
         let f = self.forward(&mut g, batch, true, rng);
         let (weights, norm) = eval_weights(batch);
@@ -156,12 +155,7 @@ impl SgdModel for Qikt {
         let aux = g.add(aux_a, aux_q);
         let aux = g.mul_scalar(aux, self.cfg.aux_weight);
         let loss = g.add(main, aux);
-        let val = g.value(loss);
-        g.backward(loss);
-        self.store.accumulate_grads(&g);
-        self.store.clip_grad_norm(clip_norm);
-        self.adam.step(&mut self.store);
-        val
+        descend(g, loss, &mut self.store, &mut self.adam, clip_norm)
     }
 
     fn snapshot(&self) -> String {

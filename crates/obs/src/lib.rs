@@ -12,11 +12,11 @@
 //! * **Metrics** ([`counter`], [`gauge`], [`histogram`]) — a concurrent
 //!   registry of named counters, gauges, and fixed-bucket histograms with
 //!   p50/p90/p99 queries.
-//! * **Spans** ([`span`]) — RAII wall-clock timers with thread-local
+//! * **Spans** ([`span()`]) — RAII wall-clock timers with thread-local
 //!   nesting; a span opened inside another records under the joined path
 //!   (`fit/epoch`). Accumulated per-phase totals feed the profile report
 //!   and run manifests.
-//! * **Events** ([`event`]) — structured key/value records routed to a
+//! * **Events** ([`event()`]) — structured key/value records routed to a
 //!   human-readable stderr sink and an optional JSON-lines file sink
 //!   ([`log_to_json`]).
 //! * **Quality monitors** ([`QualityMonitor`]) — streaming sliding-window

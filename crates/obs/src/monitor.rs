@@ -77,7 +77,7 @@ pub enum QualityEvent {
         correct_mass: f64,
         /// Summed |Δ| mass of incorrect-response influences.
         incorrect_mass: f64,
-        /// Shannon entropy of the |Δ| distribution, normalized to [0,1].
+        /// Shannon entropy of the |Δ| distribution, normalized to `[0, 1]`.
         entropy: f64,
         /// Fraction of influences with |Δ| below 1% of the total mass.
         sparsity: f64,

@@ -49,8 +49,8 @@ pub fn reset_runs() {
     RUNS.lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 
-/// Handle to a running telemetry server; stops (and joins) on [`stop`]
-/// (`TelemetryServer::stop`) or drop.
+/// Handle to a running telemetry server; stops (and joins) on
+/// [`TelemetryServer::stop`] or drop.
 pub struct TelemetryServer {
     port: u16,
     stop: Arc<AtomicBool>,

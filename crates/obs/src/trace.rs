@@ -2,7 +2,7 @@
 //! regions) recorded as complete events and written as a JSON file that
 //! `chrome://tracing` and Perfetto load directly.
 //!
-//! Armed by [`start_trace`]; while armed, every [`crate::span`] drop and
+//! Armed by [`start_trace`]; while armed, every [`crate::span()`] drop and
 //! every pool region calls [`record_event`], which encodes one
 //! `ph:"X"` event with microsecond timestamps relative to the arming
 //! instant. Each OS thread gets a small stable tid plus a `thread_name`

@@ -252,9 +252,10 @@ impl Batcher {
             return Err(ApiError::Overloaded);
         }
         q.push_back(job);
-        let depth = q.len();
+        // Counted before the lock drops: the worker cannot pop this job
+        // and subtract it from the fleet depth before it was added.
+        self.shared.publish_depth(q.len(), 1);
         drop(q);
-        self.shared.publish_depth(depth, 1);
         self.shared.cv.notify_one();
         Ok(())
     }

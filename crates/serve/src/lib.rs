@@ -2,7 +2,7 @@
 //!
 //! Batched online inference for a trained RCKT model: a std-only HTTP
 //! service exposing `POST /predict` and `POST /explain` over a
-//! [`SavedModel`](rckt::SavedModel) file, with
+//! [`SavedModel`] file, with
 //!
 //! * **micro-batching** — concurrent requests are fused into single
 //!   `predict_targets` / `influences_exact` calls by a worker thread
@@ -70,7 +70,7 @@ use rckt_obs::{
 use std::cell::RefCell;
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -261,6 +261,8 @@ pub struct ServeServer {
     /// accept loop exits (dropping the channel sender lets them drain
     /// what was already accepted, then exit).
     conn_handles: Vec<std::thread::JoinHandle<()>>,
+    /// Connections the handler pool has taken off the accept channel.
+    conns_taken: Arc<AtomicUsize>,
     flight: Arc<FlightRecorder>,
     postmortem: Arc<PostmortemCtx>,
 }
@@ -268,6 +270,12 @@ pub struct ServeServer {
 impl ServeServer {
     pub fn port(&self) -> u16 {
         self.port
+    }
+
+    /// Connections the handler pool has taken off the bounded accept
+    /// channel so far. Each one counted has freed its channel slot.
+    pub fn connections_taken(&self) -> usize {
+        self.conns_taken.load(Ordering::Acquire)
     }
 
     /// Per-shard batcher queue depths, indexed by shard id (the loadtest
@@ -384,15 +392,17 @@ pub fn start(engine: Arc<Engine>, cfg: &ServeConfig) -> std::io::Result<ServeSer
     let conn_threads = cfg.conn_threads.max(1);
     let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(conn_threads * 4);
     let conn_rx = Arc::new(Mutex::new(conn_rx));
+    let conns_taken = Arc::new(AtomicUsize::new(0));
     gauge("serve.conn.threads").set(conn_threads as f64);
     let mut conn_handles = Vec::with_capacity(conn_threads);
     for i in 0..conn_threads {
         let rx = Arc::clone(&conn_rx);
         let ctx = Arc::clone(&ctx);
+        let taken = Arc::clone(&conns_taken);
         conn_handles.push(
             std::thread::Builder::new()
                 .name(format!("rckt-serve-conn-{i}"))
-                .spawn(move || conn_worker(&ctx, &rx))?,
+                .spawn(move || conn_worker(&ctx, &rx, &taken))?,
         );
     }
     let accept_stop = Arc::clone(&stop);
@@ -420,6 +430,7 @@ pub fn start(engine: Arc<Engine>, cfg: &ServeConfig) -> std::io::Result<ServeSer
         batcher,
         handle: Some(handle),
         conn_handles,
+        conns_taken,
         flight,
         postmortem: postmortem_ctx,
     })
@@ -430,7 +441,7 @@ pub fn start(engine: Arc<Engine>, cfg: &ServeConfig) -> std::io::Result<ServeSer
 /// handler (including the test-injected one) is caught so the pool never
 /// shrinks — the panic hook has already written its postmortem bundle by
 /// the time the unwind reaches here.
-fn conn_worker(ctx: &Ctx, rx: &Mutex<mpsc::Receiver<TcpStream>>) {
+fn conn_worker(ctx: &Ctx, rx: &Mutex<mpsc::Receiver<TcpStream>>, taken: &AtomicUsize) {
     loop {
         let stream = {
             let guard = lock_recover(rx);
@@ -438,6 +449,10 @@ fn conn_worker(ctx: &Ctx, rx: &Mutex<mpsc::Receiver<TcpStream>>) {
         };
         match stream {
             Ok(s) => {
+                // Release pairs with the Acquire load in
+                // `connections_taken`: whoever sees the new count also sees
+                // this socket gone from the channel.
+                taken.fetch_add(1, Ordering::Release);
                 if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     handle_connection(ctx, s)
                 }))
@@ -564,8 +579,8 @@ struct ReqScope<'a> {
     /// once it has parsed one; lands in the flight ring's request record.
     students: RefCell<String>,
     /// Test-only (`x-rckt-test-panic: wave` with `RCKT_SERVE_TEST_PANIC=1`):
-    /// poison this request's jobs so the batcher wave that picks them up
-    /// panics, exercising shard restart instead of the conn-thread panic.
+    /// poison this request's first job so the batcher wave that picks it
+    /// up panics, exercising shard restart instead of the conn-thread panic.
     poison_wave: bool,
 }
 
@@ -729,6 +744,9 @@ fn deadline_from(body_ms: Option<u64>, default_ms: u64) -> Option<Instant> {
 
 /// Enqueue one validated request set and collect outcomes in body order,
 /// along with the aggregated timing breakdown across the body's jobs.
+/// `poison` marks only the first job: the shard restarts once per
+/// poisoned request, even when the worker takes the body's jobs in
+/// separate waves.
 fn run_jobs(
     ctx: &Ctx,
     reqs: Vec<JobRequest>,
@@ -745,7 +763,7 @@ fn run_jobs(
             enqueued: Instant::now(),
             deadline,
             reply: tx.clone(),
-            poison,
+            poison: poison && index == 0,
         })?;
     }
     drop(tx);
@@ -1845,8 +1863,19 @@ mod tests {
 
         // Release the flood: handlers fail the idle sockets with a 400
         // (connection closed mid-headers) and drain the channel, after
-        // which a real request is served normally.
+        // which a real request is served normally. Wait until they have
+        // taken every idle socket: a request sent before then can find
+        // the channel still full and be shed.
+        let n_idle = idle.len();
         drop(idle);
+        let t0 = Instant::now();
+        while server.connections_taken() < n_idle {
+            assert!(
+                t0.elapsed() < Duration::from_secs(30),
+                "handlers never took the idle connections"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let (status, resp) = http_request(port, "POST", "/predict", &predict_body()).unwrap();
         assert!(
             status.contains("200"),

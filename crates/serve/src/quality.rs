@@ -17,7 +17,7 @@
 //!
 //! After each ingest the monitor's gauges are published to the global
 //! `rckt-obs` registry (scraped at `GET /metrics`) and any
-//! threshold-crossing [`Alert`]s become `quality.alert` events in the
+//! threshold-crossing [`Alert`](rckt_obs::monitor::Alert)s become `quality.alert` events in the
 //! structured log.
 
 use rckt::InfluenceRecord;

@@ -5,20 +5,27 @@
 //! always precede outputs on the tape, a single reverse sweep over the node
 //! vector is a valid reverse-topological traversal.
 //!
-//! Graphs are cheap and rebuilt for every training step; persistent state
+//! Graphs are cheap and rebuilt for every step; persistent state
 //! (weights, Adam moments) lives in a [`crate::ParamStore`].
+//!
+//! A forward op allocates only its output. A parameter enters a graph as
+//! a shared reference to the store's buffer (no copy), and gradient
+//! buffers exist only once [`Graph::backward`] allocates them, so a pass
+//! that never calls `backward` (serving, explaining, evaluation) pays for
+//! its outputs and nothing else.
 
 use crate::kernels;
 use crate::pool;
 use crate::profiler;
 use crate::shape::Shape;
+use std::sync::Arc;
 
 /// Handle to a node in a [`Graph`]. Only valid for the graph that created it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Tx(pub(crate) usize);
 
 /// Operation record: which op produced a node and from which inputs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum Op {
     Leaf,
     /// Rank-2 matrix product.
@@ -130,8 +137,28 @@ impl Op {
     }
 }
 
+/// A node's value: the output its op computed, or a parameter's buffer
+/// shared with the [`crate::ParamStore`] that owns it.
+pub(crate) enum Value {
+    Owned(Vec<f32>),
+    Shared(Arc<Vec<f32>>),
+}
+
+impl std::ops::Deref for Value {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        match self {
+            Value::Owned(v) => v,
+            Value::Shared(v) => v,
+        }
+    }
+}
+
 pub(crate) struct Node {
-    pub data: Vec<f32>,
+    pub data: Value,
+    /// Empty until [`Graph::backward`] allocates it; stays empty on nodes
+    /// that do not require a gradient.
     pub grad: Vec<f32>,
     pub shape: Shape,
     pub op: Op,
@@ -141,11 +168,19 @@ pub(crate) struct Node {
 }
 
 /// Dynamic computation tape.
+///
+/// Each node holds its forward value, its [`Shape`] (inline, no heap),
+/// and the op that produced it. Op outputs are owned by the graph;
+/// parameter leaves share the store's buffer, so a graph holds one heap
+/// allocation per computed node and none per parameter. Gradients are
+/// allocated by [`Graph::backward`]; until then [`Graph::grad`] is empty
+/// on every node.
 #[derive(Default)]
 pub struct Graph {
     pub(crate) nodes: Vec<Node>,
-    /// Node storage bytes reported to the profiler's allocation tracker
-    /// (only grows while profiling is enabled; released on reset/drop).
+    /// Bytes of op outputs and gradient buffers reported to the
+    /// profiler's allocation tracker (only grows while profiling is
+    /// enabled; released on reset/drop).
     tracked_bytes: u64,
 }
 
@@ -177,25 +212,32 @@ impl Graph {
 
     fn push(&mut self, data: Vec<f32>, shape: Shape, op: Op, requires_grad: bool) -> Tx {
         debug_assert_eq!(data.len(), shape.numel(), "data length must match shape");
-        let grad = if requires_grad {
-            vec![0.0; data.len()]
-        } else {
-            Vec::new()
-        };
         if rckt_obs::profiling() {
-            let bytes = ((data.len() + grad.len()) * std::mem::size_of::<f32>()) as u64;
-            profiler::on_alloc(op.kind(), bytes);
-            self.tracked_bytes += bytes;
+            self.track(op.kind(), data.len());
         }
         self.nodes.push(Node {
-            data,
-            grad,
+            data: Value::Owned(data),
+            grad: Vec::new(),
             shape,
             op,
             requires_grad,
             param_src: None,
         });
         Tx(self.nodes.len() - 1)
+    }
+
+    /// Bytes this graph has reported to the profiler and not yet released.
+    #[cfg(test)]
+    pub(crate) fn tracked_bytes(&self) -> u64 {
+        self.tracked_bytes
+    }
+
+    /// Report `floats` newly allocated elements to the profiler under the
+    /// op kind that owns them.
+    fn track(&mut self, kind: &'static str, floats: usize) {
+        let bytes = (floats * std::mem::size_of::<f32>()) as u64;
+        profiler::on_alloc(kind, bytes);
+        self.tracked_bytes += bytes;
     }
 
     fn rg(&self, t: Tx) -> bool {
@@ -217,10 +259,19 @@ impl Graph {
         self.input(vec![v], Shape::scalar())
     }
 
-    pub(crate) fn push_param(&mut self, data: Vec<f32>, shape: Shape, param_idx: usize) -> Tx {
-        let t = self.push(data, shape, Op::Leaf, true);
-        self.nodes[t.0].param_src = Some(param_idx);
-        t
+    /// A parameter leaf reading the store's buffer through `data`. Nothing
+    /// is copied or allocated, so the profiler is told nothing.
+    pub(crate) fn push_param(&mut self, data: Arc<Vec<f32>>, shape: Shape, param_idx: usize) -> Tx {
+        debug_assert_eq!(data.len(), shape.numel(), "data length must match shape");
+        self.nodes.push(Node {
+            data: Value::Shared(data),
+            grad: Vec::new(),
+            shape,
+            op: Op::Leaf,
+            requires_grad: true,
+            param_src: Some(param_idx),
+        });
+        Tx(self.nodes.len() - 1)
     }
 
     pub fn shape(&self, t: Tx) -> &Shape {
@@ -231,6 +282,8 @@ impl Graph {
         &self.nodes[t.0].data
     }
 
+    /// The gradient of node `t`: empty until [`Graph::backward`] has run,
+    /// and always empty on nodes that require no gradient.
     pub fn grad(&self, t: Tx) -> &[f32] {
         &self.nodes[t.0].grad
     }
@@ -267,11 +320,11 @@ impl Graph {
 
     pub fn bmm(&mut self, a: Tx, b: Tx) -> Tx {
         let _t = profiler::op_timer("bmm");
-        let (sa, sb) = (self.shape(a).clone(), self.shape(b).clone());
+        let (sa, sb) = (*self.shape(a), *self.shape(b));
         assert_eq!(sa.rank(), 3, "bmm lhs must be rank 3");
         assert_eq!(sb.rank(), 3, "bmm rhs must be rank 3");
-        let (bsz, m, k) = (sa.0[0], sa.0[1], sa.0[2]);
-        let (bsz2, k2, n) = (sb.0[0], sb.0[1], sb.0[2]);
+        let (bsz, m, k) = (sa.dims()[0], sa.dims()[1], sa.dims()[2]);
+        let (bsz2, k2, n) = (sb.dims()[0], sb.dims()[1], sb.dims()[2]);
         assert_eq!(bsz, bsz2, "bmm batch dims");
         assert_eq!(k, k2, "bmm inner dims");
         let mut out = vec![0.0; bsz * m * n];
@@ -299,7 +352,7 @@ impl Graph {
     /// Swap the two trailing dimensions.
     pub fn transpose(&mut self, a: Tx) -> Tx {
         let _t = profiler::op_timer("transpose");
-        let s = self.shape(a).clone();
+        let s = *self.shape(a);
         let (m, n) = s.mat_dims();
         let bsz = s.batch();
         let mut out = vec![0.0; s.numel()];
@@ -325,7 +378,7 @@ impl Graph {
         assert_eq!(self.shape(a), self.shape(b), "add shapes");
         let mut out = vec![0.0; self.data(a).len()];
         kernels::map_binary(self.data(a), self.data(b), &mut out, |x, y| x + y);
-        let shape = self.shape(a).clone();
+        let shape = *self.shape(a);
         let rg = self.rg(a) || self.rg(b);
         self.push(out, shape, Op::Add(a, b), rg)
     }
@@ -344,7 +397,7 @@ impl Graph {
                 }
             }
         }
-        let shape = self.shape(a).clone();
+        let shape = *self.shape(a);
         let rg = self.rg(a) || self.rg(row);
         self.push(out, shape, Op::AddRow(a, row), rg)
     }
@@ -352,7 +405,7 @@ impl Graph {
     pub fn add_scalar(&mut self, a: Tx, c: f32) -> Tx {
         let _t = profiler::op_timer("add_scalar");
         let out: Vec<f32> = self.data(a).iter().map(|x| x + c).collect();
-        let shape = self.shape(a).clone();
+        let shape = *self.shape(a);
         let rg = self.rg(a);
         self.push(out, shape, Op::AddScalar(a), rg)
     }
@@ -362,7 +415,7 @@ impl Graph {
         assert_eq!(self.shape(a), self.shape(b), "sub shapes");
         let mut out = vec![0.0; self.data(a).len()];
         kernels::map_binary(self.data(a), self.data(b), &mut out, |x, y| x - y);
-        let shape = self.shape(a).clone();
+        let shape = *self.shape(a);
         let rg = self.rg(a) || self.rg(b);
         self.push(out, shape, Op::Sub(a, b), rg)
     }
@@ -372,7 +425,7 @@ impl Graph {
         assert_eq!(self.shape(a), self.shape(b), "mul shapes");
         let mut out = vec![0.0; self.data(a).len()];
         kernels::map_binary(self.data(a), self.data(b), &mut out, |x, y| x * y);
-        let shape = self.shape(a).clone();
+        let shape = *self.shape(a);
         let rg = self.rg(a) || self.rg(b);
         self.push(out, shape, Op::Mul(a, b), rg)
     }
@@ -380,7 +433,7 @@ impl Graph {
     pub fn mul_scalar(&mut self, a: Tx, c: f32) -> Tx {
         let _t = profiler::op_timer("mul_scalar");
         let out: Vec<f32> = self.data(a).iter().map(|x| x * c).collect();
-        let shape = self.shape(a).clone();
+        let shape = *self.shape(a);
         let rg = self.rg(a);
         self.push(out, shape, Op::MulScalar(a, c), rg)
     }
@@ -393,7 +446,7 @@ impl Graph {
         let _t = profiler::op_timer("sigmoid");
         let mut out = vec![0.0; self.data(a).len()];
         kernels::map_unary(self.data(a), &mut out, sigmoid);
-        let shape = self.shape(a).clone();
+        let shape = *self.shape(a);
         let rg = self.rg(a);
         self.push(out, shape, Op::Sigmoid(a), rg)
     }
@@ -402,7 +455,7 @@ impl Graph {
         let _t = profiler::op_timer("tanh");
         let mut out = vec![0.0; self.data(a).len()];
         kernels::map_unary(self.data(a), &mut out, |x| x.tanh());
-        let shape = self.shape(a).clone();
+        let shape = *self.shape(a);
         let rg = self.rg(a);
         self.push(out, shape, Op::Tanh(a), rg)
     }
@@ -411,7 +464,7 @@ impl Graph {
         let _t = profiler::op_timer("relu");
         let mut out = vec![0.0; self.data(a).len()];
         kernels::map_unary(self.data(a), &mut out, |x| x.max(0.0));
-        let shape = self.shape(a).clone();
+        let shape = *self.shape(a);
         let rg = self.rg(a);
         self.push(out, shape, Op::Relu(a), rg)
     }
@@ -420,7 +473,7 @@ impl Graph {
         let _t = profiler::op_timer("exp");
         let mut out = vec![0.0; self.data(a).len()];
         kernels::map_unary(self.data(a), &mut out, |x| x.exp());
-        let shape = self.shape(a).clone();
+        let shape = *self.shape(a);
         let rg = self.rg(a);
         self.push(out, shape, Op::Exp(a), rg)
     }
@@ -429,7 +482,7 @@ impl Graph {
     pub fn ln_clamped(&mut self, a: Tx, eps: f32) -> Tx {
         let _t = profiler::op_timer("ln_clamped");
         let out: Vec<f32> = self.data(a).iter().map(|x| x.max(eps).ln()).collect();
-        let shape = self.shape(a).clone();
+        let shape = *self.shape(a);
         let rg = self.rg(a);
         self.push(out, shape, Op::LnClamped(a, eps), rg)
     }
@@ -439,7 +492,7 @@ impl Graph {
         let n = self.shape(a).cols();
         let mut out = vec![0.0; self.shape(a).numel()];
         kernels::softmax_rows(self.data(a), &mut out, n);
-        let shape = self.shape(a).clone();
+        let shape = *self.shape(a);
         let rg = self.rg(a);
         self.push(out, shape, Op::SoftmaxLast(a), rg)
     }
@@ -458,7 +511,7 @@ impl Graph {
             n,
             eps,
         );
-        let shape = self.shape(x).clone();
+        let shape = *self.shape(x);
         let rg = self.rg(x) || self.rg(gamma) || self.rg(beta);
         self.push(
             out,
@@ -632,7 +685,7 @@ impl Graph {
         let _t = profiler::op_timer("dropout");
         assert_eq!(mask.len(), self.data(a).len());
         let out: Vec<f32> = self.data(a).iter().zip(&mask).map(|(x, m)| x * m).collect();
-        let shape = self.shape(a).clone();
+        let shape = *self.shape(a);
         let rg = self.rg(a);
         self.push(out, shape, Op::Dropout(a, mask), rg)
     }
@@ -650,7 +703,7 @@ impl Graph {
             let src = if take_on { on } else { off };
             out.extend_from_slice(&self.data(src)[r * n..(r + 1) * n]);
         }
-        let shape = self.shape(on).clone();
+        let shape = *self.shape(on);
         let rg = self.rg(on) || self.rg(off);
         let rows = rows.to_vec();
         self.push(out, shape, Op::SelectRows { on, off, rows }, rg)
@@ -705,6 +758,12 @@ impl Graph {
     // ----------------------------------------------------------- backward
 
     /// Run reverse-mode differentiation from scalar node `loss`.
+    ///
+    /// Gradient buffers are allocated here, not by the forward ops: every
+    /// node up to `loss` that requires a gradient and has no buffer yet
+    /// gets a zeroed one, reported to the profiler under its op kind.
+    /// Buffers that already exist are kept, so a second `backward` on the
+    /// same graph accumulates into the first one's gradients.
     pub fn backward(&mut self, loss: Tx) {
         assert_eq!(
             self.nodes[loss.0].shape.numel(),
@@ -715,88 +774,99 @@ impl Graph {
             self.nodes[loss.0].requires_grad,
             "loss does not depend on any parameter"
         );
+        let profiling = rckt_obs::profiling();
+        for idx in 0..=loss.0 {
+            let node = &mut self.nodes[idx];
+            if !node.requires_grad || !node.grad.is_empty() {
+                continue;
+            }
+            let n = node.data.len();
+            node.grad = vec![0.0; n];
+            if profiling {
+                let kind = node.op.kind();
+                self.track(kind, n);
+            }
+        }
         self.nodes[loss.0].grad[0] = 1.0;
 
         for idx in (0..=loss.0).rev() {
-            if !self.nodes[idx].requires_grad {
+            let node = &mut self.nodes[idx];
+            if !node.requires_grad || matches!(node.op, Op::Leaf) {
                 continue;
             }
-            let op = self.nodes[idx].op.clone();
-            if matches!(op, Op::Leaf) {
-                continue;
-            }
-            let g = std::mem::take(&mut self.nodes[idx].grad);
+            // Move the op and its output gradient out of the node while its
+            // inputs' gradients are written; both go back afterwards.
+            let op = std::mem::replace(&mut node.op, Op::Leaf);
+            let g = std::mem::take(&mut node.grad);
             {
                 let _t = profiler::op_timer_bwd(op.kind());
                 self.backprop_one(idx, &op, &g);
             }
-            self.nodes[idx].grad = g;
+            let node = &mut self.nodes[idx];
+            node.op = op;
+            node.grad = g;
         }
     }
 
-    fn add_grad(&mut self, t: Tx, f: impl FnOnce(&mut [f32])) {
+    /// Accumulate into the gradient of `t`, if it requires one. The buffer
+    /// is moved out while `f` runs, so `f` can read any node's value
+    /// through the graph it is handed without copying it.
+    fn add_grad(&mut self, t: Tx, f: impl FnOnce(&mut [f32], &Graph)) {
         if self.nodes[t.0].requires_grad {
-            f(&mut self.nodes[t.0].grad);
+            let mut grad = std::mem::take(&mut self.nodes[t.0].grad);
+            f(&mut grad, self);
+            self.nodes[t.0].grad = grad;
         }
     }
 
     fn backprop_one(&mut self, idx: usize, op: &Op, g: &[f32]) {
+        let out = Tx(idx);
         match *op {
             Op::Leaf => {}
             Op::Matmul(a, b) => {
                 let (m, k) = self.shape(a).mat_dims();
                 let n = self.shape(b).cols();
-                if self.rg(a) {
-                    let bd = self.nodes[b.0].data.clone();
-                    self.add_grad(a, |ga| kernels::matmul_bt_acc(g, &bd, ga, m, n, k));
-                }
-                if self.rg(b) {
-                    let ad = self.nodes[a.0].data.clone();
-                    self.add_grad(b, |gb| kernels::matmul_at_acc(&ad, g, gb, m, k, n));
-                }
+                self.add_grad(a, |ga, s| kernels::matmul_bt_acc(g, s.data(b), ga, m, n, k));
+                self.add_grad(b, |gb, s| kernels::matmul_at_acc(s.data(a), g, gb, m, k, n));
             }
             Op::Bmm(a, b) => {
                 let (m, k) = {
                     let s = self.shape(a);
-                    (s.0[1], s.0[2])
+                    (s.dims()[1], s.dims()[2])
                 };
-                let n = self.shape(b).0[2];
-                if self.rg(a) {
-                    let bd = self.nodes[b.0].data.clone();
-                    self.add_grad(a, |ga| {
-                        pool::parallel_chunks_mut(ga, m * k, &|i, ga_slice| {
-                            kernels::matmul_bt_acc(
-                                &g[i * m * n..(i + 1) * m * n],
-                                &bd[i * k * n..(i + 1) * k * n],
-                                ga_slice,
-                                m,
-                                n,
-                                k,
-                            );
-                        });
+                let n = self.shape(b).dims()[2];
+                self.add_grad(a, |ga, s| {
+                    let bd = s.data(b);
+                    pool::parallel_chunks_mut(ga, m * k, &|i, ga_slice| {
+                        kernels::matmul_bt_acc(
+                            &g[i * m * n..(i + 1) * m * n],
+                            &bd[i * k * n..(i + 1) * k * n],
+                            ga_slice,
+                            m,
+                            n,
+                            k,
+                        );
                     });
-                }
-                if self.rg(b) {
-                    let ad = self.nodes[a.0].data.clone();
-                    self.add_grad(b, |gb| {
-                        pool::parallel_chunks_mut(gb, k * n, &|i, gb_slice| {
-                            kernels::matmul_at_acc(
-                                &ad[i * m * k..(i + 1) * m * k],
-                                &g[i * m * n..(i + 1) * m * n],
-                                gb_slice,
-                                m,
-                                k,
-                                n,
-                            );
-                        });
+                });
+                self.add_grad(b, |gb, s| {
+                    let ad = s.data(a);
+                    pool::parallel_chunks_mut(gb, k * n, &|i, gb_slice| {
+                        kernels::matmul_at_acc(
+                            &ad[i * m * k..(i + 1) * m * k],
+                            &g[i * m * n..(i + 1) * m * n],
+                            gb_slice,
+                            m,
+                            k,
+                            n,
+                        );
                     });
-                }
+                });
             }
             Op::Transpose(a) => {
-                let s_out = self.nodes[idx].shape.clone();
+                let s_out = *self.shape(out);
                 let (m, n) = s_out.mat_dims(); // output dims
                 let bsz = s_out.batch();
-                self.add_grad(a, |ga| {
+                self.add_grad(a, |ga, _| {
                     let mut tmp = vec![0.0; m * n];
                     for i in 0..bsz {
                         kernels::transpose(&g[i * m * n..(i + 1) * m * n], &mut tmp, m, n);
@@ -807,13 +877,13 @@ impl Graph {
                 });
             }
             Op::Add(a, b) => {
-                self.add_grad(a, |ga| acc(ga, g));
-                self.add_grad(b, |gb| acc(gb, g));
+                self.add_grad(a, |ga, _| acc(ga, g));
+                self.add_grad(b, |gb, _| acc(gb, g));
             }
             Op::AddRow(a, row) => {
-                self.add_grad(a, |ga| acc(ga, g));
+                self.add_grad(a, |ga, _| acc(ga, g));
                 let n = self.shape(row).numel();
-                self.add_grad(row, |gr| {
+                self.add_grad(row, |gr, _| {
                     for chunk in g.chunks_exact(n) {
                         for (r, &v) in gr.iter_mut().zip(chunk) {
                             *r += v;
@@ -821,90 +891,68 @@ impl Graph {
                     }
                 });
             }
-            Op::AddScalar(a) => self.add_grad(a, |ga| acc(ga, g)),
+            Op::AddScalar(a) => self.add_grad(a, |ga, _| acc(ga, g)),
             Op::Sub(a, b) => {
-                self.add_grad(a, |ga| acc(ga, g));
-                self.add_grad(b, |gb| {
+                self.add_grad(a, |ga, _| acc(ga, g));
+                self.add_grad(b, |gb, _| {
                     for (x, &v) in gb.iter_mut().zip(g) {
                         *x -= v;
                     }
                 });
             }
             Op::Mul(a, b) => {
-                if self.rg(a) {
-                    let bd = self.nodes[b.0].data.clone();
-                    self.add_grad(a, |ga| {
-                        for ((x, &v), &y) in ga.iter_mut().zip(g).zip(&bd) {
-                            *x += v * y;
-                        }
-                    });
-                }
-                if self.rg(b) {
-                    let ad = self.nodes[a.0].data.clone();
-                    self.add_grad(b, |gb| {
-                        for ((x, &v), &y) in gb.iter_mut().zip(g).zip(&ad) {
-                            *x += v * y;
-                        }
-                    });
-                }
+                self.add_grad(a, |ga, s| {
+                    for ((x, &v), &y) in ga.iter_mut().zip(g).zip(s.data(b)) {
+                        *x += v * y;
+                    }
+                });
+                self.add_grad(b, |gb, s| {
+                    for ((x, &v), &y) in gb.iter_mut().zip(g).zip(s.data(a)) {
+                        *x += v * y;
+                    }
+                });
             }
-            Op::MulScalar(a, c) => self.add_grad(a, |ga| {
+            Op::MulScalar(a, c) => self.add_grad(a, |ga, _| {
                 for (x, &v) in ga.iter_mut().zip(g) {
                     *x += v * c;
                 }
             }),
-            Op::Sigmoid(a) => {
-                let y = self.nodes[idx].data.clone();
-                self.add_grad(a, |ga| {
-                    for ((x, &v), &yv) in ga.iter_mut().zip(g).zip(&y) {
-                        *x += v * yv * (1.0 - yv);
+            Op::Sigmoid(a) => self.add_grad(a, |ga, s| {
+                for ((x, &v), &yv) in ga.iter_mut().zip(g).zip(s.data(out)) {
+                    *x += v * yv * (1.0 - yv);
+                }
+            }),
+            Op::Tanh(a) => self.add_grad(a, |ga, s| {
+                for ((x, &v), &yv) in ga.iter_mut().zip(g).zip(s.data(out)) {
+                    *x += v * (1.0 - yv * yv);
+                }
+            }),
+            Op::Relu(a) => self.add_grad(a, |ga, s| {
+                for ((x, &v), &xi) in ga.iter_mut().zip(g).zip(s.data(a)) {
+                    if xi > 0.0 {
+                        *x += v;
                     }
-                });
-            }
-            Op::Tanh(a) => {
-                let y = self.nodes[idx].data.clone();
-                self.add_grad(a, |ga| {
-                    for ((x, &v), &yv) in ga.iter_mut().zip(g).zip(&y) {
-                        *x += v * (1.0 - yv * yv);
+                }
+            }),
+            Op::Exp(a) => self.add_grad(a, |ga, s| {
+                for ((x, &v), &yv) in ga.iter_mut().zip(g).zip(s.data(out)) {
+                    *x += v * yv;
+                }
+            }),
+            Op::LnClamped(a, eps) => self.add_grad(a, |ga, s| {
+                for ((x, &v), &xi) in ga.iter_mut().zip(g).zip(s.data(a)) {
+                    if xi > eps {
+                        *x += v / xi;
                     }
-                });
-            }
-            Op::Relu(a) => {
-                let xin = self.nodes[a.0].data.clone();
-                self.add_grad(a, |ga| {
-                    for ((x, &v), &xi) in ga.iter_mut().zip(g).zip(&xin) {
-                        if xi > 0.0 {
-                            *x += v;
-                        }
-                    }
-                });
-            }
-            Op::Exp(a) => {
-                let y = self.nodes[idx].data.clone();
-                self.add_grad(a, |ga| {
-                    for ((x, &v), &yv) in ga.iter_mut().zip(g).zip(&y) {
-                        *x += v * yv;
-                    }
-                });
-            }
-            Op::LnClamped(a, eps) => {
-                let xin = self.nodes[a.0].data.clone();
-                self.add_grad(a, |ga| {
-                    for ((x, &v), &xi) in ga.iter_mut().zip(g).zip(&xin) {
-                        if xi > eps {
-                            *x += v / xi;
-                        }
-                    }
-                });
-            }
+                }
+            }),
             Op::SoftmaxLast(a) => {
-                let y = self.nodes[idx].data.clone();
-                let n = self.nodes[idx].shape.cols();
-                self.add_grad(a, |ga| {
+                let n = self.shape(out).cols();
+                self.add_grad(a, |ga, s| {
                     for ((ga_row, g_row), y_row) in ga
                         .chunks_exact_mut(n)
                         .zip(g.chunks_exact(n))
-                        .zip(y.chunks_exact(n))
+                        .zip(s.data(out).chunks_exact(n))
                     {
                         let dot: f32 = g_row.iter().zip(y_row).map(|(a, b)| a * b).sum();
                         for j in 0..n {
@@ -919,9 +967,8 @@ impl Graph {
                 beta,
                 eps,
             } => {
-                let n = self.nodes[idx].shape.cols();
-                let xd = self.nodes[x.0].data.clone();
-                let gd = self.nodes[gamma.0].data.clone();
+                let n = self.shape(out).cols();
+                let xd = self.data(x);
                 // Recompute per-row statistics (cheaper than caching).
                 let rows = xd.len() / n;
                 let mut xhat = vec![0.0f32; xd.len()];
@@ -936,21 +983,22 @@ impl Graph {
                         xhat[r * n + j] = (x_row[j] - mean) * inv;
                     }
                 }
-                self.add_grad(gamma, |gg| {
+                self.add_grad(gamma, |gg, _| {
                     for r in 0..rows {
                         for j in 0..n {
                             gg[j] += g[r * n + j] * xhat[r * n + j];
                         }
                     }
                 });
-                self.add_grad(beta, |gb| {
+                self.add_grad(beta, |gb, _| {
                     for r in 0..rows {
                         for j in 0..n {
                             gb[j] += g[r * n + j];
                         }
                     }
                 });
-                self.add_grad(x, |gx| {
+                self.add_grad(x, |gx, s| {
+                    let gd = s.data(gamma);
                     for r in 0..rows {
                         let gy = &g[r * n..(r + 1) * n];
                         let xh = &xhat[r * n..(r + 1) * n];
@@ -975,14 +1023,14 @@ impl Graph {
                 let na = self.shape(a).cols();
                 let nb = self.shape(b).cols();
                 let m = self.shape(a).rows();
-                self.add_grad(a, |ga| {
+                self.add_grad(a, |ga, _| {
                     for i in 0..m {
                         for j in 0..na {
                             ga[i * na + j] += g[i * (na + nb) + j];
                         }
                     }
                 });
-                self.add_grad(b, |gb| {
+                self.add_grad(b, |gb, _| {
                     for i in 0..m {
                         for j in 0..nb {
                             gb[i * nb + j] += g[i * (na + nb) + na + j];
@@ -991,18 +1039,17 @@ impl Graph {
                 });
             }
             Op::ConcatRows(ref parts) => {
-                let parts = parts.clone();
                 let mut offset = 0;
-                for p in parts {
+                for &p in parts {
                     let len = self.shape(p).numel();
-                    self.add_grad(p, |gp| acc(gp, &g[offset..offset + len]));
+                    self.add_grad(p, |gp, _| acc(gp, &g[offset..offset + len]));
                     offset += len;
                 }
             }
             Op::SliceCols(a, start, end) => {
                 let n = self.shape(a).cols();
                 let w = end - start;
-                self.add_grad(a, |ga| {
+                self.add_grad(a, |ga, _| {
                     for (i, row) in g.chunks_exact(w).enumerate() {
                         for (j, &v) in row.iter().enumerate() {
                             ga[i * n + start + j] += v;
@@ -1012,12 +1059,11 @@ impl Graph {
             }
             Op::SliceRows(a, start, _end) => {
                 let n = self.shape(a).cols();
-                self.add_grad(a, |ga| acc(&mut ga[start * n..start * n + g.len()], g));
+                self.add_grad(a, |ga, _| acc(&mut ga[start * n..start * n + g.len()], g));
             }
             Op::GatherRows(table, ref indices) => {
-                let indices = indices.clone();
                 let n = self.shape(table).cols();
-                self.add_grad(table, |gt| {
+                self.add_grad(table, |gt, _| {
                     for (i, &ix) in indices.iter().enumerate() {
                         for j in 0..n {
                             gt[ix * n + j] += g[i * n + j];
@@ -1026,9 +1072,8 @@ impl Graph {
                 });
             }
             Op::SegmentMeanRows(a, ref lens) => {
-                let lens = lens.clone();
                 let n = self.shape(a).cols();
-                self.add_grad(a, |ga| {
+                self.add_grad(a, |ga, _| {
                     let mut row = 0;
                     for (i, &len) in lens.iter().enumerate() {
                         let inv = 1.0 / len as f32;
@@ -1041,14 +1086,14 @@ impl Graph {
                     }
                 });
             }
-            Op::SumAll(a) => self.add_grad(a, |ga| {
+            Op::SumAll(a) => self.add_grad(a, |ga, _| {
                 for x in ga.iter_mut() {
                     *x += g[0];
                 }
             }),
             Op::MeanAll(a) => {
                 let inv = 1.0 / self.shape(a).numel() as f32;
-                self.add_grad(a, |ga| {
+                self.add_grad(a, |ga, _| {
                     for x in ga.iter_mut() {
                         *x += g[0] * inv;
                     }
@@ -1056,7 +1101,7 @@ impl Graph {
             }
             Op::SumLast(a) => {
                 let n = self.shape(a).cols();
-                self.add_grad(a, |ga| {
+                self.add_grad(a, |ga, _| {
                     for (i, row) in ga.chunks_exact_mut(n).enumerate() {
                         for x in row.iter_mut() {
                             *x += g[i];
@@ -1064,44 +1109,37 @@ impl Graph {
                     }
                 });
             }
-            Op::Dropout(a, ref mask) => {
-                let mask = mask.clone();
-                self.add_grad(a, |ga| {
-                    for ((x, &v), &m) in ga.iter_mut().zip(g).zip(&mask) {
-                        *x += v * m;
-                    }
-                });
-            }
+            Op::Dropout(a, ref mask) => self.add_grad(a, |ga, _| {
+                for ((x, &v), &m) in ga.iter_mut().zip(g).zip(mask) {
+                    *x += v * m;
+                }
+            }),
             Op::SelectRows { on, off, ref rows } => {
-                let rows = rows.clone();
                 let n = self.shape(on).cols();
                 for (src, want) in [(on, true), (off, false)] {
-                    self.add_grad(src, |gs| {
+                    self.add_grad(src, |gs, _| {
                         for (r, _) in rows.iter().enumerate().filter(|(_, &t)| t == want) {
                             acc(&mut gs[r * n..(r + 1) * n], &g[r * n..(r + 1) * n]);
                         }
                     });
                 }
             }
-            Op::Reshape(a) => self.add_grad(a, |ga| acc(ga, g)),
+            Op::Reshape(a) => self.add_grad(a, |ga, _| acc(ga, g)),
             Op::BceWithLogits {
                 logits,
                 ref targets,
                 ref weights,
                 norm,
-            } => {
-                let (targets, weights) = (targets.clone(), weights.clone());
-                let zd = self.nodes[logits.0].data.clone();
-                self.add_grad(logits, |gz| {
-                    let scale = g[0] / norm;
-                    for (i, x) in gz.iter_mut().enumerate() {
-                        if weights[i] == 0.0 {
-                            continue;
-                        }
-                        *x += scale * weights[i] * (sigmoid(zd[i]) - targets[i]);
+            } => self.add_grad(logits, |gz, s| {
+                let zd = s.data(logits);
+                let scale = g[0] / norm;
+                for (i, x) in gz.iter_mut().enumerate() {
+                    if weights[i] == 0.0 {
+                        continue;
                     }
-                });
-            }
+                    *x += scale * weights[i] * (sigmoid(zd[i]) - targets[i]);
+                }
+            }),
         }
     }
 }

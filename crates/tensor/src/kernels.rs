@@ -7,7 +7,7 @@
 //! * **naive** — plain loops, kept as an always-correct, always-serial
 //!   reference path (`naive_matmul_acc` and friends);
 //! * **simd** (default via `auto`) — explicit `std::arch` microkernels
-//!   ([`simd`]): AVX2+FMA 6×16 on x86-64, NEON 8×8 on aarch64, a portable
+//!   (`simd`): AVX2+FMA 6×16 on x86-64, NEON 8×8 on aarch64, a portable
 //!   4×16 scalar tile elsewhere, chosen by one-time runtime feature
 //!   detection. Operands are packed into panels ([`pack`]) and work is
 //!   split over *column panels* with the packed `A` shared read-only

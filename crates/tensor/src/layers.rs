@@ -701,9 +701,37 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(vec![0.0; 6], Shape::matrix(2, 3));
         let y = lin.forward(&mut g, &store, x);
-        assert_eq!(g.shape(y).0, vec![2, 2]);
+        assert_eq!(g.shape(y).dims(), vec![2, 2]);
         // zero input -> output equals bias (zeros at init)
         assert!(g.data(y).iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn forward_passes_allocate_no_gradients_until_backward() {
+        let (mut store, mut rng) = setup();
+        let lin = Linear::new(&mut store, "lin", 3, 4, &mut rng);
+        let cell = LstmCell::new(&mut store, "cell", 4, 5, &mut rng);
+        let mut g = Graph::new();
+        let x = g.input(vec![0.5; 6], Shape::matrix(2, 3));
+        let y = lin.forward(&mut g, &store, x);
+        let h0 = g.input(vec![0.1; 10], Shape::matrix(2, 5));
+        let c0 = g.input(vec![0.2; 10], Shape::matrix(2, 5));
+        let (h, _c) = cell.step(&mut g, &store, y, h0, c0);
+        let loss = g.sum_all(h);
+        for i in 0..g.len() {
+            assert!(
+                g.grad(Tx(i)).is_empty(),
+                "node {i} holds a gradient before backward"
+            );
+        }
+        g.backward(loss);
+        let params: Vec<usize> = (0..g.len())
+            .filter(|&i| g.nodes[i].param_src.is_some())
+            .collect();
+        assert_eq!(params.len(), 5, "lin.w, lin.b, w_ih, w_hh, b");
+        for i in params {
+            assert_eq!(g.grad(Tx(i)).len(), g.data(Tx(i)).len());
+        }
     }
 
     #[test]
@@ -717,7 +745,7 @@ mod tests {
             Shape::matrix(b * t, 4),
         );
         let h = lstm.forward(&mut g, &store, x, b, t, false, false, &mut rng);
-        assert_eq!(g.shape(h).0, vec![b * t, 6]);
+        assert_eq!(g.shape(h).dims(), vec![b * t, 6]);
         // states differ across time for a non-constant input
         let d = g.data(h);
         let row = |r: usize| &d[r * 6..(r + 1) * 6];
@@ -879,7 +907,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(vec![0.2; 5 * 6], Shape::matrix(5, 6));
         let z = mlp.forward(&mut g, &store, x, false, &mut rng);
-        assert_eq!(g.shape(z).0, vec![5, 1]);
+        assert_eq!(g.shape(z).dims(), vec![5, 1]);
     }
 
     #[test]

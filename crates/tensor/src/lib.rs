@@ -10,8 +10,9 @@
 //!   hand-written backward rules, so the whole engine is testable against
 //!   finite differences (see `tests/gradcheck.rs` in this crate).
 //! * [`ParamStore`] holds named persistent weights plus Adam moments;
-//!   parameters are injected into a graph as leaves and gradients harvested
-//!   back after `backward`.
+//!   parameters enter a graph as leaves that share the store's buffers (no
+//!   copy), and gradients, which only `backward` allocates, are harvested
+//!   back after it.
 //! * [`layers`] provides the building blocks the knowledge-tracing models
 //!   need: linear/MLP heads, embeddings, LSTM, layer-norm, multi-head
 //!   attention with optional AKT-style monotonic distance decay.

@@ -1,6 +1,12 @@
 //! First-order optimizers operating on a [`ParamStore`].
+//!
+//! Both write the weights through [`Arc::make_mut`]: a graph that still
+//! holds a parameter keeps the values it was built with, and the store
+//! gets a fresh buffer. Drop the step's graph before calling `step` and
+//! every buffer is updated in place.
 
 use crate::param::ParamStore;
+use std::sync::Arc;
 
 /// Adam with decoupled behaviour matching the paper's training setup
 /// (Kingma & Ba 2014; L2 regularization added to the gradient, as in the
@@ -48,16 +54,16 @@ impl Adam {
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for p in &mut store.params {
-            for i in 0..p.data.len() {
+            for (i, w) in Arc::make_mut(&mut p.data).iter_mut().enumerate() {
                 let mut g = p.grad[i];
                 if self.l2 != 0.0 {
-                    g += self.l2 * p.data[i];
+                    g += self.l2 * *w;
                 }
                 p.m[i] = self.beta1 * p.m[i] + (1.0 - self.beta1) * g;
                 p.v[i] = self.beta2 * p.v[i] + (1.0 - self.beta2) * g * g;
                 let mhat = p.m[i] / bc1;
                 let vhat = p.v[i] / bc2;
-                p.data[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+                *w -= self.lr * mhat / (vhat.sqrt() + self.eps);
             }
         }
     }
@@ -75,8 +81,8 @@ impl Sgd {
 
     pub fn step(&mut self, store: &mut ParamStore) {
         for p in &mut store.params {
-            for i in 0..p.data.len() {
-                p.data[i] -= self.lr * p.grad[i];
+            for (w, g) in Arc::make_mut(&mut p.data).iter_mut().zip(&p.grad) {
+                *w -= self.lr * g;
             }
         }
     }
@@ -85,8 +91,8 @@ impl Sgd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Graph;
-    use crate::param::Init;
+    use crate::graph::{Graph, Tx};
+    use crate::param::{Init, ParamId};
     use crate::shape::Shape;
     use rckt_obs::rng::SmallRng;
 
@@ -140,6 +146,59 @@ mod tests {
         store.accumulate_grads(&g);
         adam.step(&mut store);
         assert_eq!(store.data(w)[0], 0.0, "lr = 0 must freeze weights");
+    }
+
+    /// A store with two parameters and the loss `sum(w * 2) + sum(b)`
+    /// built over them, swept backward and harvested.
+    fn stepped_store() -> (ParamStore, Vec<ParamId>, Graph, Vec<Tx>) {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut store = ParamStore::new();
+        let w = store.register("w", Shape::matrix(2, 3), Init::Xavier, &mut rng);
+        let b = store.register("b", Shape::vector(4), Init::Ones, &mut rng);
+        let mut g = Graph::new();
+        let (wt, bt) = (store.leaf(&mut g, w), store.leaf(&mut g, b));
+        let w2 = g.mul_scalar(wt, 2.0);
+        let (sw, sb) = (g.sum_all(w2), g.sum_all(bt));
+        let loss = g.add(sw, sb);
+        g.backward(loss);
+        store.accumulate_grads(&g);
+        (store, vec![w, b], g, vec![wt, bt])
+    }
+
+    #[test]
+    fn a_graph_alive_across_a_step_keeps_the_old_values() {
+        for use_adam in [true, false] {
+            let (mut store, ids, g, leaves) = stepped_store();
+            let old: Vec<Vec<f32>> = ids.iter().map(|&p| store.data(p).to_vec()).collect();
+            if use_adam {
+                Adam::new(0.1).step(&mut store);
+            } else {
+                Sgd::new(0.1).step(&mut store);
+            }
+            for ((&p, &t), old) in ids.iter().zip(&leaves).zip(&old) {
+                assert_eq!(g.data(t), old.as_slice(), "copy on write");
+                assert_ne!(store.data(p), old.as_slice(), "the store was updated");
+            }
+        }
+    }
+
+    #[test]
+    fn a_step_with_no_graph_alive_updates_every_buffer_in_place() {
+        for use_adam in [true, false] {
+            let (mut store, ids, g, _) = stepped_store();
+            drop(g);
+            let ptrs: Vec<*const f32> = ids.iter().map(|&p| store.data(p).as_ptr()).collect();
+            let old: Vec<Vec<f32>> = ids.iter().map(|&p| store.data(p).to_vec()).collect();
+            if use_adam {
+                Adam::new(0.1).step(&mut store);
+            } else {
+                Sgd::new(0.1).step(&mut store);
+            }
+            for ((&p, &ptr), old) in ids.iter().zip(&ptrs).zip(&old) {
+                assert_eq!(store.data(p).as_ptr(), ptr, "no copy");
+                assert_ne!(store.data(p), old.as_slice(), "updated");
+            }
+        }
     }
 
     #[test]

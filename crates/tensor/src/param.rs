@@ -5,6 +5,7 @@ use crate::shape::Shape;
 use rckt_obs::json::{self, FromJson, JsonValue, ObjectReader, ToJson};
 use rckt_obs::rng::SmallRng;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Handle to a parameter in a [`ParamStore`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -29,10 +30,14 @@ pub enum Init {
 
 /// One named tensor. Only `name`, `shape` and `data` are saved; the
 /// gradient and the Adam moments start at zero on load.
+///
+/// `data` is shared with every graph the parameter is a leaf of. Writers
+/// go through [`Arc::make_mut`], so a graph still holding the buffer
+/// keeps the values it was built with while the store gets a copy.
 pub(crate) struct Param {
     pub name: String,
     pub shape: Shape,
-    pub data: Vec<f32>,
+    pub data: Arc<Vec<f32>>,
     pub grad: Vec<f32>,
     pub m: Vec<f32>,
     pub v: Vec<f32>,
@@ -43,20 +48,29 @@ impl ToJson for Param {
         json::Obj::new()
             .field("name", &self.name)
             .field("shape", &self.shape)
-            .field("data", &self.data)
+            .field("data", self.data.as_slice())
             .write_to(out);
     }
 }
 
+/// A parameter read from JSON holds exactly as many values as its shape.
 impl FromJson for Param {
     fn from_json(v: &JsonValue) -> Result<Param, String> {
         let r = ObjectReader::new(v)?;
+        let name: String = r.req("name")?;
+        let shape: Shape = r.req("shape")?;
         let data: Vec<f32> = r.req("data")?;
         let n = data.len();
+        if n != shape.numel() {
+            return Err(format!(
+                "parameter `{name}` has {n} values, its shape {shape:?} holds {}",
+                shape.numel()
+            ));
+        }
         Ok(Param {
-            name: r.req("name")?,
-            shape: r.req("shape")?,
-            data,
+            name,
+            shape,
+            data: Arc::new(data),
             grad: vec![0.0; n],
             m: vec![0.0; n],
             v: vec![0.0; n],
@@ -66,10 +80,13 @@ impl FromJson for Param {
 
 /// Named persistent parameters plus their Adam moments.
 ///
-/// A fresh [`Graph`] is built per step; parameters are injected with
-/// [`ParamStore::leaf`], gradients harvested back with
-/// [`ParamStore::accumulate_grads`], and updated by an optimizer from
-/// [`crate::optim`].
+/// A fresh [`Graph`] is built per pass. [`ParamStore::leaf`] puts a
+/// parameter into it by sharing the store's buffer, not by copying it.
+/// After [`Graph::backward`], [`ParamStore::accumulate_grads`] harvests
+/// the gradients, and an optimizer from [`crate::optim`] updates the
+/// weights in place. The update copies a buffer only if a graph still
+/// holds it (copy on write, and that graph keeps the old values), so a
+/// training step drops its graph before the optimizer runs.
 #[derive(Default)]
 pub struct ParamStore {
     pub(crate) params: Vec<Param>,
@@ -95,10 +112,10 @@ impl ParamStore {
         );
         let shape = shape.into();
         let n = shape.numel();
-        let (fan_in, fan_out) = match shape.0.as_slice() {
-            [o] => (*o, *o),
-            [i, o] => (*i, *o),
-            [b, i, o] => (b * i, *o),
+        let (fan_in, fan_out) = match *shape.dims() {
+            [o] => (o, o),
+            [i, o] => (i, o),
+            [b, i, o] => (b * i, o),
             _ => unreachable!(),
         };
         let data = match init {
@@ -118,7 +135,7 @@ impl ParamStore {
         self.params.push(Param {
             name: name.to_string(),
             shape,
-            data,
+            data: Arc::new(data),
             grad: vec![0.0; n],
             m: vec![0.0; n],
             v: vec![0.0; n],
@@ -140,6 +157,11 @@ impl ParamStore {
         self.params.is_empty()
     }
 
+    /// Every parameter's handle, in registration order.
+    pub fn ids(&self) -> impl Iterator<Item = ParamId> {
+        (0..self.params.len()).map(ParamId)
+    }
+
     /// Total number of scalar weights.
     pub fn num_weights(&self) -> usize {
         self.params.iter().map(|p| p.data.len()).sum()
@@ -149,8 +171,9 @@ impl ParamStore {
         &self.params[id.0].data
     }
 
+    /// Writable weights. Copies the buffer first if a graph still holds it.
     pub fn data_mut(&mut self, id: ParamId) -> &mut [f32] {
-        &mut self.params[id.0].data
+        Arc::make_mut(&mut self.params[id.0].data).as_mut_slice()
     }
 
     pub fn grad(&self, id: ParamId) -> &[f32] {
@@ -161,14 +184,16 @@ impl ParamStore {
         &self.params[id.0].shape
     }
 
-    /// Inject a parameter into a graph as a differentiable leaf.
+    /// Inject a parameter into a graph as a differentiable leaf. The leaf
+    /// shares the store's buffer: nothing is copied or allocated.
     pub fn leaf(&self, g: &mut Graph, id: ParamId) -> Tx {
         let p = &self.params[id.0];
-        g.push_param(p.data.clone(), p.shape.clone(), id.0)
+        g.push_param(Arc::clone(&p.data), p.shape, id.0)
     }
 
     /// Harvest gradients from a backward-swept graph into `self.grad`
-    /// (accumulating, so several graphs can contribute to one step).
+    /// (accumulating, so several graphs can contribute to one step). A
+    /// leaf the sweep did not reach has no gradient and adds nothing.
     pub fn accumulate_grads(&mut self, g: &Graph) {
         for node in &g.nodes {
             if let Some(pi) = node.param_src {
@@ -236,9 +261,10 @@ impl ParamStore {
     }
 
     /// Whether `saved` has exactly this store's parameters: the same
-    /// names in the same order, each with this store's shape and with
-    /// as many values as its shape holds. A store that passes can stand
-    /// in for this one behind every [`ParamId`] it handed out.
+    /// names in the same order, each with this store's shape (every
+    /// parameter holds as many values as its shape, however it was
+    /// made). A store that passes can stand in for this one behind every
+    /// [`ParamId`] it handed out.
     pub fn check_layout(&self, saved: &ParamStore) -> Result<(), String> {
         if saved.params.len() != self.params.len() {
             return Err(format!(
@@ -258,15 +284,6 @@ impl ParamStore {
                 return Err(format!(
                     "parameter `{}` has shape {:?}, expected {:?}",
                     got.name, got.shape, want.shape
-                ));
-            }
-            if got.data.len() != want.shape.numel() {
-                return Err(format!(
-                    "parameter `{}` has {} values, its shape {:?} holds {}",
-                    got.name,
-                    got.data.len(),
-                    want.shape,
-                    want.shape.numel()
                 ));
             }
         }
@@ -312,6 +329,39 @@ mod tests {
 
         store.zero_grads();
         assert_eq!(store.grad(w), &[0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn leaf_shares_the_store_buffer() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut store = ParamStore::new();
+        let w = store.register("w", Shape::matrix(600, 32), Init::Xavier, &mut rng);
+        let mut g = Graph::new();
+        let wt = store.leaf(&mut g, w);
+        assert_eq!(
+            g.data(wt).as_ptr(),
+            store.data(w).as_ptr(),
+            "a parameter leaf reads the store's buffer, not a copy"
+        );
+        assert_eq!(g.shape(wt), store.shape(w));
+        assert!(g.grad(wt).is_empty(), "no gradient before backward");
+    }
+
+    #[test]
+    fn data_mut_copies_only_a_buffer_a_graph_still_holds() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut store = ParamStore::new();
+        let w = store.register("w", Shape::vector(3), Init::Ones, &mut rng);
+        let before = store.data(w).as_ptr();
+        store.data_mut(w)[0] = 2.0;
+        assert_eq!(store.data(w).as_ptr(), before, "no graph: written in place");
+
+        let mut g = Graph::new();
+        let wt = store.leaf(&mut g, w);
+        store.data_mut(w)[1] = 5.0;
+        assert_eq!(g.data(wt), &[2.0, 1.0, 1.0], "the graph keeps its values");
+        assert_eq!(store.data(w), &[2.0, 5.0, 1.0]);
+        assert_ne!(store.data(w).as_ptr(), g.data(wt).as_ptr());
     }
 
     #[test]

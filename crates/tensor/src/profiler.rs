@@ -9,13 +9,17 @@
 //! * histogram `op.<kind>.bwd_secs`  — backward wall time per op kind
 //! * counter   `op.<kind>.flops`     — forward FLOPs where meaningful
 //! * counter   `op.<kind>.alloc_bytes` — bytes allocated for outputs
+//!   (forward) and gradient buffers (backward)
 //! * gauge     `tensor.mem.live_bytes` / `tensor.mem.peak_bytes`
 //!
-//! The allocation tracker counts graph node storage (`data` + `grad`,
-//! 4 bytes/element) attributed to the op kind that produced the node;
-//! [`Graph::reset`](crate::Graph::reset) and drop release it, so
-//! `live_bytes` returns to its pre-run level after every step while
-//! `peak_bytes` keeps the high-water mark.
+//! The allocation tracker counts the tensor storage a graph allocates, at
+//! 4 bytes/element, attributed to the op kind of the node that owns it:
+//! each op's output when the op runs, and each gradient buffer when
+//! [`Graph::backward`](crate::Graph::backward) allocates it. A parameter
+//! leaf shares the store's buffer and reports nothing. Reset and drop
+//! release what the graph reported, so `live_bytes` returns to its
+//! pre-run level after every step while `peak_bytes` keeps the
+//! high-water mark.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -259,5 +263,44 @@ mod tests {
         );
         assert!(rckt_obs::counter("op.matmul.alloc_bytes").get() > 0);
         assert!(peak_bytes() >= live0);
+    }
+
+    #[test]
+    fn backward_reports_gradient_bytes_and_shared_leaves_report_none() {
+        let _g = profiling_lock();
+        let mut rng = rckt_obs::rng::SmallRng::seed_from_u64(1);
+        let mut store = crate::ParamStore::new();
+        let w = store.register("w", crate::Shape::matrix(4, 4), crate::Init::Ones, &mut rng);
+        // No other test in this crate runs `segment_mean_rows`, so its
+        // counter moves only with this graph.
+        let seg = rckt_obs::counter("op.segment_mean_rows.alloc_bytes");
+        let seg0 = seg.get();
+        rckt_obs::set_profiling(true);
+        let mut g = crate::Graph::new();
+        let wt = store.leaf(&mut g, w);
+        assert_eq!(
+            g.tracked_bytes(),
+            0,
+            "a shared parameter leaf is not an allocation"
+        );
+        let m = g.segment_mean_rows(wt, &[1, 3]); // [2, 4]
+        let loss = g.sum_all(m);
+        assert_eq!(g.tracked_bytes(), 4 * (8 + 1), "forward: the two outputs");
+        assert_eq!(seg.get() - seg0, 4 * 8);
+        g.backward(loss);
+        // Gradients for the leaf (16), the segment mean (8) and the loss (1).
+        assert_eq!(g.tracked_bytes(), 4 * (8 + 1) + 4 * (16 + 8 + 1));
+        assert_eq!(
+            seg.get() - seg0,
+            4 * (8 + 8),
+            "gradient reported under its kind"
+        );
+        g.backward(loss);
+        assert_eq!(
+            g.tracked_bytes(),
+            4 * (8 + 1) + 4 * (16 + 8 + 1),
+            "a second sweep reuses the buffers"
+        );
+        rckt_obs::set_profiling(false);
     }
 }

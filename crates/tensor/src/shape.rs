@@ -5,102 +5,145 @@ use std::fmt;
 
 /// Shape of a tensor. Data is stored row-major; the last dimension is
 /// contiguous. Rank 1 is treated as a row vector `[1, n]` by matrix ops.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Shape(pub Vec<usize>);
+///
+/// A shape is a `Copy` value: up to three dimensions stored inline, so
+/// building or copying one never touches the heap. Read the dimensions
+/// with [`Shape::dims`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Shape {
+    /// Dimensions in order; the slots past `rank` are always 0, so the
+    /// derived equality and hash see only the real dimensions.
+    dims: [usize; 3],
+    rank: usize,
+}
 
 /// A shape is written as its dimension list.
 impl ToJson for Shape {
     fn write_json(&self, out: &mut String) {
-        self.0.write_json(out);
+        self.dims().write_json(out);
     }
 }
 
+/// A shape read from JSON has rank 1–3 and an element count that fits in
+/// `usize`, so [`Shape::numel`] cannot overflow on it.
 impl FromJson for Shape {
     fn from_json(v: &JsonValue) -> Result<Shape, String> {
         let dims: Vec<usize> = Vec::from_json(v)?;
-        if dims.is_empty() || dims.len() > 3 {
-            return Err(format!("shape {dims:?}: supported ranks are 1..=3"));
-        }
-        Ok(Shape(dims))
+        let shape = Shape::try_from_dims(&dims)
+            .ok_or_else(|| format!("shape {dims:?}: supported ranks are 1..=3"))?;
+        dims.iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .ok_or_else(|| format!("shape {dims:?}: element count overflows"))?;
+        Ok(shape)
     }
 }
 
 impl Shape {
+    #[inline]
     pub fn scalar() -> Self {
-        Shape(vec![1])
+        Shape::vector(1)
     }
 
+    #[inline]
     pub fn vector(n: usize) -> Self {
-        Shape(vec![n])
-    }
-
-    pub fn matrix(rows: usize, cols: usize) -> Self {
-        Shape(vec![rows, cols])
-    }
-
-    pub fn cube(b: usize, rows: usize, cols: usize) -> Self {
-        Shape(vec![b, rows, cols])
-    }
-
-    pub fn rank(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Total number of elements.
-    pub fn numel(&self) -> usize {
-        self.0.iter().product()
-    }
-
-    /// Number of rows when viewed as a 2-D matrix (batch dims folded in).
-    pub fn rows(&self) -> usize {
-        match self.0.as_slice() {
-            [] => 0,
-            [_] => 1,
-            dims => dims[..dims.len() - 1].iter().product(),
+        Shape {
+            dims: [n, 0, 0],
+            rank: 1,
         }
     }
 
+    #[inline]
+    pub fn matrix(rows: usize, cols: usize) -> Self {
+        Shape {
+            dims: [rows, cols, 0],
+            rank: 2,
+        }
+    }
+
+    #[inline]
+    pub fn cube(b: usize, rows: usize, cols: usize) -> Self {
+        Shape {
+            dims: [b, rows, cols],
+            rank: 3,
+        }
+    }
+
+    /// The shape with these dimensions, or `None` unless `1 <= rank <= 3`.
+    fn try_from_dims(dims: &[usize]) -> Option<Self> {
+        match *dims {
+            [n] => Some(Shape::vector(n)),
+            [m, n] => Some(Shape::matrix(m, n)),
+            [b, m, n] => Some(Shape::cube(b, m, n)),
+            _ => None,
+        }
+    }
+
+    /// The dimensions, outermost first.
+    #[inline]
+    pub fn dims(&self) -> &[usize] {
+        &self.dims[..self.rank]
+    }
+
+    #[inline]
+    pub fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// Total number of elements.
+    #[inline]
+    pub fn numel(&self) -> usize {
+        self.dims().iter().product()
+    }
+
+    /// Number of rows when viewed as a 2-D matrix (batch dims folded in).
+    #[inline]
+    pub fn rows(&self) -> usize {
+        let dims = self.dims();
+        dims[..dims.len() - 1].iter().product()
+    }
+
     /// Size of the last (contiguous) dimension.
+    #[inline]
     pub fn cols(&self) -> usize {
-        *self.0.last().expect("shape must not be empty")
+        self.dims[self.rank - 1]
     }
 
     /// Leading batch dimension for rank-3 shapes, 1 otherwise.
+    #[inline]
     pub fn batch(&self) -> usize {
-        if self.rank() == 3 {
-            self.0[0]
+        if self.rank == 3 {
+            self.dims[0]
         } else {
             1
         }
     }
 
     /// The two trailing matrix dimensions `(m, n)`.
+    #[inline]
     pub fn mat_dims(&self) -> (usize, usize) {
-        match self.0.as_slice() {
-            [n] => (1, *n),
-            [m, n] => (*m, *n),
-            [_, m, n] => (*m, *n),
-            _ => panic!("rank > 3 unsupported"),
+        match *self.dims() {
+            [n] => (1, n),
+            [m, n] | [_, m, n] => (m, n),
+            _ => unreachable!("a shape has rank 1..=3"),
         }
     }
 }
 
 impl fmt::Debug for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:?}", self.0)
-    }
-}
-
-impl From<Vec<usize>> for Shape {
-    fn from(v: Vec<usize>) -> Self {
-        assert!(!v.is_empty() && v.len() <= 3, "supported ranks: 1..=3");
-        Shape(v)
+        write!(f, "{:?}", self.dims())
     }
 }
 
 impl From<&[usize]> for Shape {
     fn from(v: &[usize]) -> Self {
-        Shape::from(v.to_vec())
+        Shape::try_from_dims(v).expect("supported ranks: 1..=3")
+    }
+}
+
+impl From<Vec<usize>> for Shape {
+    fn from(v: Vec<usize>) -> Self {
+        Shape::from(v.as_slice())
     }
 }
 
@@ -130,5 +173,25 @@ mod tests {
     #[should_panic]
     fn rank_4_rejected() {
         let _ = Shape::from(vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn json_shapes_are_checked() {
+        let parse = |t: &str| Shape::from_json(&rckt_obs::json::parse(t).unwrap());
+        assert_eq!(parse("[2,3]"), Ok(Shape::matrix(2, 3)));
+        assert!(parse("[]").is_err());
+        assert!(parse("[1,2,3,4]").is_err());
+        assert!(parse("[4294967296,4294967296,16]")
+            .unwrap_err()
+            .contains("overflows"));
+    }
+
+    #[test]
+    fn equal_dims_are_equal_shapes_whatever_the_constructor() {
+        assert_eq!(Shape::from(vec![3, 4]), Shape::matrix(3, 4));
+        assert_eq!(Shape::from(&[7][..]), Shape::vector(7));
+        assert_eq!(Shape::scalar().dims(), &[1]);
+        assert_ne!(Shape::vector(4), Shape::matrix(1, 4));
+        assert_eq!(format!("{:?}", Shape::cube(2, 3, 4)), "[2, 3, 4]");
     }
 }

@@ -26,15 +26,15 @@ fn gradcheck<F>(data: &[f32], shape: Shape, f: F)
 where
     F: Fn(&mut Graph, Tx) -> Tx,
 {
-    let (_, analytic) = run(data, shape.clone(), &f);
+    let (_, analytic) = run(data, shape, &f);
     let h = 1e-3f32;
     for i in 0..data.len() {
         let mut plus = data.to_vec();
         plus[i] += h;
         let mut minus = data.to_vec();
         minus[i] -= h;
-        let (lp, _) = run(&plus, shape.clone(), &f);
-        let (lm, _) = run(&minus, shape.clone(), &f);
+        let (lp, _) = run(&plus, shape, &f);
+        let (lm, _) = run(&minus, shape, &f);
         let numeric = (lp - lm) / (2.0 * h);
         let a = analytic[i];
         let denom = 1.0f32.max(a.abs()).max(numeric.abs());
