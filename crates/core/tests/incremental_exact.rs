@@ -160,3 +160,53 @@ fn forward_only_eval_skips_the_backward_lstm() {
     let (uni, bi) = (matmuls(true), matmuls(false));
     assert_eq!(bi - uni, 4 * 2 * t_len as u64, "uni {uni}, bi {bi}");
 }
+
+/// A warm append costs one position, not the history: at window 200 the
+/// 199th append issues exactly the GEMM FLOPs of the 49th, and a cold
+/// `predict_targets` over the same 199 responses issues at least 5× as
+/// many. FLOP counts repeat exactly on any machine; perfbench's traced run
+/// times both sides (`incremental.append_us_per_position`,
+/// `model.predict_targets_solo_ms`).
+#[test]
+fn warm_append_costs_one_position_at_window_200() {
+    let _g = GLOBAL.lock().unwrap();
+    let ds = SyntheticSpec::assist09().scaled(0.03).generate();
+    let cfg = RcktConfig {
+        dim: 8,
+        unidirectional: true,
+        ..Default::default()
+    };
+    let m = Rckt::new(Backbone::Dkt, ds.num_questions(), ds.num_concepts(), cfg);
+    let window = 200;
+    let hist = history(window - 1, ds.num_questions());
+    let flops = rckt_obs::counter("kernel.matmul.flops");
+    let count = |run: &mut dyn FnMut()| {
+        let before = flops.get();
+        run();
+        flops.get() - before
+    };
+    let append_at = |n: usize| {
+        let mut state = IncrementalState::new(&m, window).unwrap();
+        state
+            .append_responses(&m, &ds.q_matrix, &hist[..n - 1])
+            .unwrap();
+        let (q, c) = hist[n - 1];
+        count(&mut || {
+            state.append_response(&m, &ds.q_matrix, q, c).unwrap();
+        })
+    };
+    rckt_obs::set_profiling(true);
+    let (append_49, append_199) = (append_at(49), append_at(199));
+    let cold_199 = count(&mut || {
+        exact_score(&m, &ds, &hist, 1, window);
+    });
+    rckt_obs::set_profiling(false);
+    assert_eq!(
+        append_49, append_199,
+        "an append must not grow with the history"
+    );
+    assert!(
+        cold_199 >= 5 * append_199,
+        "cold {cold_199} FLOPs vs warm append {append_199}: under 5x"
+    );
+}

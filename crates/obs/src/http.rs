@@ -1,6 +1,9 @@
 //! Minimal std-only HTTP/1.1 framing shared by the telemetry endpoint
 //! ([`crate::serve`]) and the `rckt-serve` inference service: one request
 //! per connection, `Content-Length` bodies, `Connection: close`, no TLS.
+//! Ambiguous framing is a [`ReadError::Malformed`]: a repeated or
+//! non-digit `Content-Length`, any `Transfer-Encoding`, or whitespace
+//! before a header's colon.
 //!
 //! [`read_request`] sets no socket timeouts; each caller sets its own on
 //! the stream before calling it.
@@ -95,8 +98,20 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
     let mut headers = Vec::new();
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
+            // RFC 9112 §5.1: a server must reject whitespace between a
+            // header name and its colon rather than guess the name.
+            if name.ends_with([' ', '\t']) {
+                return Err(ReadError::Malformed("whitespace before header colon"));
+            }
             let name = name.trim().to_ascii_lowercase();
             let value = value.trim().to_string();
+            // Bodies are framed by Content-Length alone, so a chunked body
+            // would be read as empty or as its first Content-Length bytes
+            // while another parser frames it differently: refused, like a
+            // duplicate Content-Length below.
+            if name == "transfer-encoding" {
+                return Err(ReadError::Malformed("Transfer-Encoding not supported"));
+            }
             if name == "content-length" {
                 // A repeated Content-Length — even one agreeing with the
                 // first — is rejected outright: it is the header a
@@ -106,11 +121,11 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
                 if content_length.is_some() {
                     return Err(ReadError::Malformed("duplicate Content-Length"));
                 }
-                content_length = Some(
-                    value
-                        .parse()
-                        .map_err(|_| ReadError::Malformed("bad Content-Length"))?,
-                );
+                // Digits only: `usize::from_str` would also take a `+`.
+                content_length = match value.parse() {
+                    Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => Some(n),
+                    _ => return Err(ReadError::Malformed("bad Content-Length")),
+                };
             }
             headers.push((name, value));
         }
@@ -254,6 +269,43 @@ mod tests {
             roundtrip(b"POST /p HTTP/1.1\r\ncontent-length: 4\r\nCONTENT-LENGTH: 4\r\n\r\nabcd"),
             Err(ReadError::Malformed("duplicate Content-Length"))
         ));
+    }
+
+    #[test]
+    fn rejects_signed_content_length() {
+        assert!(matches!(
+            roundtrip(b"POST /p HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello"),
+            Err(ReadError::Malformed("bad Content-Length"))
+        ));
+    }
+
+    #[test]
+    fn rejects_any_transfer_encoding() {
+        // A chunked body must not be read as empty, nor as its first
+        // Content-Length bytes.
+        for raw in [
+            &b"POST /p HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"[..],
+            b"POST /p HTTP/1.1\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+            b"POST /p HTTP/1.1\r\ntransfer-encoding: identity\r\nContent-Length: 5\r\n\r\nhello",
+        ] {
+            assert!(matches!(
+                roundtrip(raw),
+                Err(ReadError::Malformed("Transfer-Encoding not supported"))
+            ));
+        }
+    }
+
+    #[test]
+    fn rejects_whitespace_before_header_colon() {
+        for raw in [
+            &b"POST /p HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello"[..],
+            b"POST /p HTTP/1.1\r\nContent-Length\t: 5\r\n\r\nhello",
+        ] {
+            assert!(matches!(
+                roundtrip(raw),
+                Err(ReadError::Malformed("whitespace before header colon"))
+            ));
+        }
     }
 
     #[test]

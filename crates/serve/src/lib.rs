@@ -585,6 +585,11 @@ struct ReqScope<'a> {
 }
 
 impl ReqScope<'_> {
+    /// Record the request (access event, trace span, flight ring, SLO
+    /// outcome), then write the response. Recording first means a client
+    /// holding its answer finds its own request in `/debug/flight`,
+    /// `/debug/slo` and `/debug/snapshot`; `total_micros` and the SLO
+    /// latency therefore end before the socket write.
     fn respond(
         &self,
         stream: &mut TcpStream,
@@ -614,7 +619,6 @@ impl ReqScope<'_> {
             .iter()
             .map(|(k, v)| (k.as_str(), v.as_str()))
             .collect();
-        http::respond(stream, status, content_type, &refs, body);
 
         let status_code: u64 = status
             .split(' ')
@@ -698,6 +702,8 @@ impl ReqScope<'_> {
                 );
             }
         }
+
+        http::respond(stream, status, content_type, &refs, body);
     }
 }
 
@@ -1110,7 +1116,7 @@ fn handle_connection(ctx: &Ctx, mut stream: TcpStream) {
 }
 
 /// Send one request to a running server and return `(status_line, body)`.
-/// Shared by the integration tests and the latency benchmark.
+/// Shared by the tests and `rckt loadtest`.
 pub fn http_request(
     port: u16,
     method: &str,

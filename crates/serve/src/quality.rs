@@ -243,6 +243,30 @@ mod tests {
         }
     }
 
+    /// Every served `/predict` item is ingested, so ingest shares the
+    /// flight recorder's budget: at most 2 µs at the median, best of three
+    /// rounds. The reference histogram turns on PSI drift, as for a model
+    /// exported by `rckt train`.
+    #[test]
+    fn observe_costs_at_most_2us_at_the_median() {
+        let q = Quality::new(Some(&[10; rckt_obs::SCORE_BINS]), None).unwrap();
+        let scores: Vec<f64> = (0..10_000).map(|i| (i % 100) as f64 / 100.0).collect();
+        let median_ns = || {
+            let mut ns: Vec<u128> = scores
+                .iter()
+                .map(|&s| {
+                    let t0 = std::time::Instant::now();
+                    q.observe(QualityEvent::Score(s));
+                    t0.elapsed().as_nanos()
+                })
+                .collect();
+            ns.sort_unstable();
+            ns[ns.len() / 2]
+        };
+        let best = (0..3).map(|_| median_ns()).min().unwrap();
+        assert!(best <= 2_000, "observe median {best} ns exceeds 2 µs");
+    }
+
     #[test]
     fn quality_log_records_reference_then_events_in_order() {
         let dir = std::env::temp_dir().join(format!("rckt-quality-test-{}", std::process::id()));
