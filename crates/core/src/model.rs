@@ -3,8 +3,9 @@
 //!
 //! Approximate (backward) inference — the paper's default — needs four
 //! encoder passes per target (`F⁺`, `CF⁻`, `F⁻`, `CF⁺`, Fig. 2); exact
-//! (forward) inference needs `t + 2` passes and exists for the Table VI
-//! comparison.
+//! (forward) inference needs a factual row plus one counterfactual row per
+//! past response, stacked as rows of one batch, and serves `/explain` and
+//! the Table VI comparison.
 
 use crate::config::{Backbone, RcktConfig};
 use crate::counterfactual::{backward_quadruple, forward_intervention, joint_contexts, Cats};
@@ -18,6 +19,7 @@ use rckt_obs::rng::SmallRng;
 use rckt_tensor::layers::PredictionMlp;
 use rckt_tensor::pool;
 use rckt_tensor::{Adam, Graph, ParamStore, Shape, Tx};
+use std::ops::Range;
 
 pub(crate) enum Encoder {
     Lstm(BiLstmEncoder),
@@ -822,115 +824,94 @@ impl Rckt {
             .collect()
     }
 
-    /// The factual half of exact inference: one generator pass over the
-    /// target-masked factual sequences, returning `p(correct)` at each
-    /// sequence's target. This is the per-prefix state an online server
-    /// caches; the counterfactual half (`Rckt::exact_influence_entries`)
-    /// consumes it without recomputing the pass.
+    /// Generator probability at each sequence's target with the target
+    /// masked and every other response factual — the row exact inference
+    /// measures each intervention against.
     pub fn factual_target_probs(&self, batch: &Batch, targets: &[usize]) -> Vec<f32> {
-        let factual_per_seq = self.masked_factual_cats(batch, targets);
-        let flat_factual: Vec<ResponseCat> = factual_per_seq.concat();
-        let vis = self.visibility(batch, targets);
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut g = Graph::new();
-        let p = self.probs_pass(&mut g, batch, &flat_factual, &vis, &[], false, &mut rng);
-        let d = g.data(p);
-        (0..batch.batch)
-            .map(|b| d[b * batch.t_len + targets[b]])
-            .collect()
-    }
-
-    /// The counterfactual half of exact inference: one pass per
-    /// intervention position against a precomputed factual target
-    /// probability, returning `(position, was_correct, Δ)` entries per
-    /// sequence (position-ascending).
-    fn exact_influence_entries(
-        &self,
-        batch: &Batch,
-        targets: &[usize],
-        factual_per_seq: &[Cats],
-        flat_factual: &[ResponseCat],
-        p_target_factual: &[f32],
-    ) -> Vec<Vec<(usize, bool, f32)>> {
-        let t_len = batch.t_len;
-        let vis = self.visibility(batch, targets);
-        // One counterfactual pass per intervention position, fanned out on
-        // the pool. Each pass is an independent eval-mode graph (no RNG
-        // draws), and the per-response influences are folded back in index
-        // order below, so the records are identical for any RCKT_THREADS.
-        let max_target = targets.iter().copied().max().unwrap_or(0);
-        if rckt_obs::profiling() {
-            rckt_obs::counter("core.infer.passes").add(1 + max_target as u64);
-        }
-        let per_pos = pool::parallel_map(max_target, |i| {
-            // intervene position i for every sequence where i is a valid
-            // past response
-            let mut cats = flat_factual.to_vec();
-            let mut involved = vec![false; batch.batch];
-            for b in 0..batch.batch {
-                if i < targets[b] && batch.valid[b * t_len + i] {
-                    let (_, cf) = forward_intervention(&factual_per_seq[b], i, self.cfg.retention);
-                    cats[b * t_len..(b + 1) * t_len].copy_from_slice(&cf);
-                    involved[b] = true;
-                }
-            }
-            if !involved.iter().any(|&x| x) {
-                return None;
-            }
-            let mut rng = SmallRng::seed_from_u64(0);
-            let mut g = Graph::new();
-            let p = self.probs_pass(&mut g, batch, &cats, &vis, &[], false, &mut rng);
-            let d = g.data(p);
-            let mut entries = Vec::new();
-            for b in 0..batch.batch {
-                if !involved[b] {
-                    continue;
-                }
-                let p_cf = d[b * t_len + targets[b]];
-                let correct = batch.correct[b * t_len + i] >= 0.5;
-                let mut delta = if correct {
-                    // Eq. 9: drop in p(correct) when a correct response flips
-                    p_target_factual[b] - p_cf
-                } else {
-                    // Eq. 11: drop in p(incorrect) when an incorrect flips
-                    p_cf - p_target_factual[b]
-                };
-                if self.cfg.clamp_inference {
-                    delta = delta.max(0.0);
-                }
-                entries.push((b, correct, delta));
-            }
-            Some(entries)
-        });
-        let mut per_seq: Vec<Vec<(usize, bool, f32)>> = vec![Vec::new(); batch.batch];
-        for (i, entries) in per_pos.into_iter().enumerate() {
-            for (b, correct, delta) in entries.into_iter().flatten() {
-                per_seq[b].push((i, correct, delta));
-            }
-        }
-        per_seq
+        let factual = self.masked_factual_cats(batch, targets).concat();
+        self.factual_pass_probs(batch, &factual, targets)
     }
 
     /// Exact-mode per-response influence attribution (Eq. 9/11): the
     /// non-approximate counterpart of [`Rckt::influences`], costing one
-    /// forward pass per past response. Composed from the factual pass
-    /// ([`Rckt::factual_target_probs`]), the per-position counterfactual
-    /// deltas, and a plain assembly step — split so a serving layer can
-    /// cache the factual state per history prefix; the composition is
-    /// bit-identical to running the historic single-function path.
+    /// generator row per past response. Every row of the fan-out — each
+    /// sequence's factual row, then one row per valid past response it
+    /// intervenes on — is stacked into one batch and read at its
+    /// sequence's target. An eval row depends on that row alone
+    /// ([`Rckt::predict_targets`]'s batch-invariance contract), so the
+    /// records carry the bits of one pass per intervention.
+    ///
+    /// The stacked rows are cut into graphs of `max(B, ⌊R / T⌋)` rows for a
+    /// `B × T` batch and a fixed row-step budget `R`, fanned out on the
+    /// [`pool`] and read back in row order: a short explain is one graph and
+    /// opens no pool region, and a long one never builds a graph over
+    /// `max(B·T, R)` row-steps.
     pub fn influences_exact(&self, batch: &Batch, targets: &[usize]) -> Vec<InfluenceRecord> {
         let _s = rckt_obs::span("rckt.infer.exact");
         let t_len = batch.t_len;
-        let factual_per_seq = self.masked_factual_cats(batch, targets);
-        let flat_factual: Vec<ResponseCat> = factual_per_seq.concat();
-        let p_target_factual = self.factual_target_probs(batch, targets);
-        let per_seq = self.exact_influence_entries(
-            batch,
-            targets,
-            &factual_per_seq,
-            &flat_factual,
-            &p_target_factual,
-        );
+        let factual = self.masked_factual_cats(batch, targets);
+        let vis = self.visibility(batch, targets);
+        // Sequence-major row plan: `(b, None)` is sequence b's factual row,
+        // `(b, Some(i))` its intervention on past response i.
+        let mut plan: Vec<(usize, Option<usize>)> = Vec::new();
+        for (b, &target) in targets.iter().enumerate() {
+            plan.push((b, None));
+            plan.extend(
+                (0..target)
+                    .filter(|&i| batch.valid[b * t_len + i])
+                    .map(|i| (b, Some(i))),
+            );
+        }
+        let chunks = exact_chunks(plan.len(), batch.batch, t_len);
+        if rckt_obs::profiling() {
+            rckt_obs::counter("core.infer.passes").add(chunks.len() as u64);
+        }
+        let probs = pool::parallel_map(chunks.len(), |c| {
+            let rows = &plan[chunks[c].clone()];
+            let src: Vec<usize> = rows.iter().map(|&(b, _)| b).collect();
+            let mut cats = Vec::with_capacity(rows.len() * t_len);
+            let mut row_vis = Vec::with_capacity(rows.len() * t_len);
+            for &(b, i) in rows {
+                match i {
+                    None => cats.extend_from_slice(&factual[b]),
+                    Some(i) => {
+                        cats.extend(forward_intervention(&factual[b], i, self.cfg.retention).1)
+                    }
+                }
+                row_vis.extend_from_slice(&vis[b * t_len..(b + 1) * t_len]);
+            }
+            let stacked = batch.gather_rows(&src);
+            let mut rng = SmallRng::seed_from_u64(0);
+            let mut g = Graph::new();
+            let p = self.probs_pass(&mut g, &stacked, &cats, &row_vis, &[], false, &mut rng);
+            let d = g.data(p);
+            src.iter()
+                .enumerate()
+                .map(|(r, &b)| d[r * t_len + targets[b]])
+                .collect::<Vec<f32>>()
+        });
+        // Fold each intervention against its sequence's factual row, in
+        // plan order (position-ascending within a sequence).
+        let mut p_factual = vec![0.0f32; batch.batch];
+        let mut per_seq: Vec<Vec<(usize, bool, f32)>> = vec![Vec::new(); batch.batch];
+        for (&(b, i), &p) in plan.iter().zip(probs.iter().flatten()) {
+            let Some(i) = i else {
+                p_factual[b] = p;
+                continue;
+            };
+            let correct = batch.correct[b * t_len + i] >= 0.5;
+            let mut delta = if correct {
+                // Eq. 9: drop in p(correct) when a correct response flips
+                p_factual[b] - p
+            } else {
+                // Eq. 11: drop in p(incorrect) when an incorrect flips
+                p - p_factual[b]
+            };
+            if self.cfg.clamp_inference {
+                delta = delta.max(0.0);
+            }
+            per_seq[b].push((i, correct, delta));
+        }
         per_seq
             .into_iter()
             .enumerate()
@@ -1073,6 +1054,22 @@ impl Rckt {
         }
         (auc(&scores, &labels), accuracy(&scores, &labels, 0.5))
     }
+}
+
+/// `R`, the row-steps (stacked rows × time steps) one graph of the exact
+/// fan-out may hold beyond the batch's own `B·T`: an explain of up to `R`
+/// row-steps is one graph, and a longer one is split into graphs no bigger
+/// than one pass over the whole batch or `R`, whichever is larger. Picked by
+/// the sweep in docs/performance.md ("One stacked pass per explain").
+const EXACT_ROW_STEPS: usize = 256;
+
+/// Consecutive row ranges covering `rows` stacked rows of a `bsz × t_len`
+/// batch, `max(bsz, ⌊EXACT_ROW_STEPS / t_len⌋)` rows each (at least one).
+fn exact_chunks(rows: usize, bsz: usize, t_len: usize) -> Vec<Range<usize>> {
+    let per = bsz.max(EXACT_ROW_STEPS / t_len.max(1)).max(1);
+    (0..rows.div_ceil(per))
+        .map(|c| c * per..((c + 1) * per).min(rows))
+        .collect()
 }
 
 impl KtModel for Rckt {
@@ -1744,9 +1741,175 @@ mod tests {
         kernels::set_kernel_variant(before);
     }
 
-    /// The factual/counterfactual split composes back to the monolithic
-    /// exact path: `factual_target_probs` matches the probabilities the
-    /// full `influences_exact` run uses internally.
+    /// Eq. 9/11 computed one generator pass at a time: the factual pass,
+    /// then one pass per `(sequence, past response)` with only that
+    /// sequence's categories intervened.
+    fn one_pass_per_intervention(
+        m: &Rckt,
+        batch: &Batch,
+        targets: &[usize],
+    ) -> Vec<InfluenceRecord> {
+        let t_len = batch.t_len;
+        let factual = m.masked_factual_cats(batch, targets);
+        let p_factual = m.factual_target_probs(batch, targets);
+        (0..batch.batch)
+            .map(|b| {
+                let mut influences = Vec::new();
+                for i in (0..targets[b]).filter(|&i| batch.valid[b * t_len + i]) {
+                    let mut cats = factual.concat();
+                    let (_, cf) = forward_intervention(&factual[b], i, m.cfg.retention);
+                    cats[b * t_len..(b + 1) * t_len].copy_from_slice(&cf);
+                    let p_cf = m.factual_pass_probs(batch, &cats, targets)[b];
+                    let correct = batch.correct[b * t_len + i] >= 0.5;
+                    let mut delta = if correct {
+                        p_factual[b] - p_cf
+                    } else {
+                        p_cf - p_factual[b]
+                    };
+                    if m.cfg.clamp_inference {
+                        delta = delta.max(0.0);
+                    }
+                    influences.push((i, correct, delta));
+                }
+                let total = |want: bool| -> f32 {
+                    influences
+                        .iter()
+                        .filter(|(_, c, _)| *c == want)
+                        .map(|(_, _, d)| d)
+                        .sum()
+                };
+                let (total_correct, total_incorrect) = (total(true), total(false));
+                let t = targets[b].max(1) as f32;
+                InfluenceRecord {
+                    target: targets[b],
+                    influences,
+                    total_correct,
+                    total_incorrect,
+                    score: ((total_correct - total_incorrect) / (2.0 * t) + 0.5).clamp(0.0, 1.0),
+                    label: batch.correct[b * t_len + targets[b]] >= 0.5,
+                }
+            })
+            .collect()
+    }
+
+    /// The stacked exact pass carries the bits of one generator pass per
+    /// intervention. A seeded case loop draws waves of 1–8 windows of mixed
+    /// lengths up to 60 with explicit targets, so the stacked rows span one
+    /// graph or several, for every backbone (bidirectional 2-layer and
+    /// forward-only DKT, SAKT, AKT with unclamped deltas) under both kernel
+    /// variants.
+    #[test]
+    fn influences_exact_equals_one_pass_per_intervention() {
+        use rckt_tensor::kernels::{self, KernelVariant};
+        let ds = SyntheticSpec::assist09().scaled(0.03).generate();
+        let nq = ds.num_questions();
+        let cfg = RcktConfig {
+            dim: 8,
+            heads: 2,
+            ..Default::default()
+        };
+        let models = [
+            (
+                "DKT",
+                Backbone::Dkt,
+                RcktConfig {
+                    layers: 2,
+                    ..cfg.clone()
+                },
+            ),
+            (
+                "DKT forward-only",
+                Backbone::Dkt,
+                RcktConfig {
+                    unidirectional: true,
+                    ..cfg.clone()
+                },
+            ),
+            ("SAKT", Backbone::Sakt, cfg.clone()),
+            (
+                "AKT",
+                Backbone::Akt,
+                RcktConfig {
+                    clamp_inference: false,
+                    ..cfg.clone()
+                },
+            ),
+        ]
+        .map(|(name, backbone, cfg)| (name, Rckt::new(backbone, nq, ds.num_concepts(), cfg)));
+        let before = kernels::kernel_variant();
+        let mut graphs = Vec::new();
+        rckt_obs::rng::check(6, |rng| {
+            let wave = rng.gen_range(1..=8);
+            let ws: Vec<Window> = (0..wave)
+                .map(|_| {
+                    let len = rng.gen_range(1..=60);
+                    random_window(rng, len, nq)
+                })
+                .collect();
+            let targets: Vec<usize> = ws.iter().map(|w| rng.gen_range(0..w.len)).collect();
+            let longest = ws.iter().map(|w| w.len).max().unwrap();
+            let padded: Vec<Window> = ws.iter().map(|w| padded(w, longest)).collect();
+            let refs: Vec<&Window> = padded.iter().collect();
+            let batch = Batch::from_windows(&refs, &ds.q_matrix);
+            let rows = wave + targets.iter().sum::<usize>();
+            graphs.push(exact_chunks(rows, wave, longest).len());
+            for (name, m) in &models {
+                for variant in [KernelVariant::Naive, KernelVariant::Simd] {
+                    kernels::set_kernel_variant(variant);
+                    let got = m.influences_exact(&batch, &targets);
+                    let want = one_pass_per_intervention(m, &batch, &targets);
+                    for (b, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            record_bits(g),
+                            record_bits(w),
+                            "{name} {variant:?}: sequence {b} of {wave}, target {}, longest {longest}",
+                            targets[b]
+                        );
+                    }
+                }
+            }
+        });
+        kernels::set_kernel_variant(before);
+        assert!(
+            graphs.contains(&1) && graphs.iter().any(|&n| n >= 2),
+            "cases must cover one stacked graph and several: {graphs:?}"
+        );
+    }
+
+    /// The chunk rule: every graph holds at least one row and at most
+    /// `max(B·T, EXACT_ROW_STEPS)` row-steps, the graphs cover the rows in
+    /// order, and an explain within the budget is one graph.
+    #[test]
+    fn exact_chunks_cover_the_rows_in_order_within_the_budget() {
+        for bsz in 1..=9 {
+            for t_len in [1, 2, 4, 7, 21, 50, 200, EXACT_ROW_STEPS + 1, 4000] {
+                let most = bsz * (t_len + 1);
+                for rows in [0, 1, bsz, bsz + 1, bsz * t_len, most] {
+                    let chunks = exact_chunks(rows, bsz, t_len);
+                    let mut next = 0;
+                    for c in &chunks {
+                        assert_eq!(c.start, next, "B {bsz} T {t_len} rows {rows}");
+                        assert!(!c.is_empty(), "B {bsz} T {t_len} rows {rows}");
+                        assert!(
+                            c.len() * t_len <= (bsz * t_len).max(EXACT_ROW_STEPS),
+                            "B {bsz} T {t_len} rows {rows}: {c:?}"
+                        );
+                        next = c.end;
+                    }
+                    assert_eq!(next, rows, "B {bsz} T {t_len}");
+                    if rows * t_len <= EXACT_ROW_STEPS {
+                        assert!(chunks.len() <= 1, "B {bsz} T {t_len} rows {rows}");
+                    }
+                }
+            }
+        }
+        // perfbench's probe: a history-4 explain is one graph of 4 rows.
+        assert_eq!(exact_chunks(4, 1, 4), vec![0..4]);
+    }
+
+    /// `factual_target_probs` is a probability per sequence and repeats
+    /// to the bit; `influences_exact_equals_one_pass_per_intervention`
+    /// checks that the exact path measures every intervention against it.
     #[test]
     fn factual_split_matches_exact_path() {
         let (ds, _, batches) = tiny(0.03, 4);

@@ -142,6 +142,44 @@ impl Batch {
             valid: self.valid[plo..phi].to_vec(),
         }
     }
+
+    /// The batch whose row `r` is sequence `rows[r]` of this one, with its
+    /// ragged concept tags. Rows may repeat: the exact counterfactual
+    /// fan-out stacks one copy of a sequence per intervention.
+    pub fn gather_rows(&self, rows: &[usize]) -> Batch {
+        let t = self.t_len;
+        // Offset of each sequence's first concept tag in `concept_flat`.
+        let mut flat_start = vec![0usize; self.batch + 1];
+        for b in 0..self.batch {
+            let tags: usize = self.concept_lens[b * t..(b + 1) * t].iter().sum();
+            flat_start[b + 1] = flat_start[b] + tags;
+        }
+        let n = rows.len() * t;
+        let mut out = Batch {
+            batch: rows.len(),
+            t_len: t,
+            students: Vec::with_capacity(rows.len()),
+            questions: Vec::with_capacity(n),
+            concept_flat: Vec::new(),
+            concept_lens: Vec::with_capacity(n),
+            correct: Vec::with_capacity(n),
+            valid: Vec::with_capacity(n),
+        };
+        for &b in rows {
+            assert!(b < self.batch, "row {b} of a batch of {}", self.batch);
+            let span = b * t..(b + 1) * t;
+            out.students.push(self.students[b]);
+            out.questions
+                .extend_from_slice(&self.questions[span.clone()]);
+            out.concept_flat
+                .extend_from_slice(&self.concept_flat[flat_start[b]..flat_start[b + 1]]);
+            out.concept_lens
+                .extend_from_slice(&self.concept_lens[span.clone()]);
+            out.correct.extend_from_slice(&self.correct[span.clone()]);
+            out.valid.extend_from_slice(&self.valid[span]);
+        }
+        out
+    }
 }
 
 /// Chunk `indices` into batches of (at most) `batch_size` windows.
@@ -265,6 +303,44 @@ mod tests {
         assert_eq!(sub.valid, expect.valid);
         assert_eq!(sub.seq_len(0), 8);
         assert_eq!(sub.seq_len(1), 6);
+    }
+
+    #[test]
+    fn gather_rows_restacks_sequences_with_their_concept_tags() {
+        // Question 2 carries two concepts, so the tags are ragged per row.
+        let d = ds(&[10, 8, 6, 9]);
+        let ws = windows(&d, 10, 5);
+        let refs: Vec<&Window> = ws.iter().collect();
+        let full = Batch::from_windows(&refs, &d.q_matrix);
+        let fields = |b: &Batch| {
+            (
+                b.batch,
+                b.t_len,
+                b.students.clone(),
+                b.questions.clone(),
+                b.concept_flat.clone(),
+                b.concept_lens.clone(),
+                b.correct.clone(),
+                b.valid.clone(),
+            )
+        };
+        assert_eq!(
+            fields(&full.gather_rows(&[1, 2])),
+            fields(&full.sub_batch(1, 3))
+        );
+        assert_eq!(fields(&full.gather_rows(&[0, 1, 2, 3])), fields(&full));
+        // Repeated and reordered rows match direct construction.
+        let picked = [3, 0, 3, 2, 2];
+        let expect: Vec<&Window> = picked.iter().map(|&i| refs[i]).collect();
+        let gathered = full.gather_rows(&picked);
+        assert_eq!(
+            fields(&gathered),
+            fields(&Batch::from_windows(&expect, &d.q_matrix))
+        );
+        assert_eq!(
+            gathered.concept_flat.len(),
+            gathered.concept_lens.iter().sum::<usize>()
+        );
     }
 
     #[test]

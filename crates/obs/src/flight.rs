@@ -48,20 +48,22 @@ impl Default for FlightConfig {
     }
 }
 
-/// One served HTTP request, as remembered by the flight ring.
-#[derive(Clone, Debug)]
-pub struct RequestRecord {
+/// One served HTTP request, as remembered by the flight ring. Its text
+/// fields borrow from the request being answered: recording one allocates
+/// only the encoded line.
+#[derive(Clone, Copy, Debug)]
+pub struct RequestRecord<'a> {
     /// Unix timestamp (seconds) when the request was recorded, just
     /// before its response is written.
     pub ts: f64,
     /// The response's `X-Request-Id`.
-    pub request_id: String,
-    pub method: String,
+    pub request_id: &'a str,
+    pub method: &'a str,
     /// Endpoint path (`/predict`, `/explain`, …).
-    pub path: String,
+    pub path: &'a str,
     /// Students named in the body (comma-joined), when the handler got
     /// far enough to parse one; empty otherwise.
-    pub students: String,
+    pub students: &'a str,
     pub queue_micros: u64,
     pub infer_micros: u64,
     pub total_micros: u64,
@@ -71,29 +73,46 @@ pub struct RequestRecord {
     /// Warm-path classification: `append`, `replay`, `cold_build`,
     /// `diverged_rebuild`, `cache` (session-cache hit), or `-` when the
     /// request never reached the model (errors, non-inference paths).
-    pub warm: String,
-    /// Batcher shard that answered the request (`"0"`, `"1"`, …), or `-`
-    /// when it never reached a shard (errors, non-inference paths).
-    pub shard: String,
+    pub warm: &'a str,
+    /// Batcher shard that answered the request; `None` when it never
+    /// reached a shard (errors, non-inference paths). Encoded as a string,
+    /// `"0"`, `"1"`, … or `"-"`.
+    pub shard: Option<usize>,
 }
 
-impl RequestRecord {
+/// A shard number as the JSON string the ring stores (`"3"`, or `"-"`
+/// for none), written straight into the line.
+struct ShardLabel(Option<usize>);
+
+impl json::ToJson for ShardLabel {
+    fn write_json(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        match self.0 {
+            Some(shard) => {
+                let _ = write!(out, "\"{shard}\"");
+            }
+            None => out.push_str("\"-\""),
+        }
+    }
+}
+
+impl RequestRecord<'_> {
     fn encode(&self) -> String {
         // Fixed shape: 12 keys + scalar values fit comfortably in 256
         // bytes, so the hot path is one allocation.
         let mut o = Obj::with_capacity(256);
         o.field("ts", &self.ts)
-            .field("request_id", &self.request_id)
-            .field("method", &self.method)
-            .field("path", &self.path)
-            .field("students", &self.students)
+            .field("request_id", self.request_id)
+            .field("method", self.method)
+            .field("path", self.path)
+            .field("students", self.students)
             .field("queue_micros", &self.queue_micros)
             .field("infer_micros", &self.infer_micros)
             .field("total_micros", &self.total_micros)
             .field("batch", &self.batch_size)
             .field("status", &self.status)
-            .field("warm", &self.warm)
-            .field("shard", &self.shard);
+            .field("warm", self.warm)
+            .field("shard", &ShardLabel(self.shard));
         o.finish()
     }
 }
@@ -188,7 +207,7 @@ impl FlightRecorder {
     }
 
     /// Record one served request.
-    pub fn record_request(&self, rec: &RequestRecord) {
+    pub fn record_request(&self, rec: &RequestRecord<'_>) {
         let line = rec.encode();
         self.lock().requests.push(line);
     }
@@ -281,21 +300,42 @@ mod tests {
     use super::*;
     use crate::json::{parse, JsonValue};
 
-    fn record(n: u64) -> RequestRecord {
+    /// A test request; its numbered text lives for the rest of the test
+    /// binary, as a served request's text outlives its record.
+    fn record(n: u64) -> RequestRecord<'static> {
         RequestRecord {
             ts: 1000.0 + n as f64,
-            request_id: format!("req-{n}"),
-            method: "POST".to_string(),
-            path: "/predict".to_string(),
-            students: n.to_string(),
+            request_id: Box::leak(format!("req-{n}").into_boxed_str()),
+            method: "POST",
+            path: "/predict",
+            students: Box::leak(n.to_string().into_boxed_str()),
             queue_micros: 10,
             infer_micros: 200,
             total_micros: 250,
             batch_size: 1,
             status: 200,
-            warm: "append".to_string(),
-            shard: "0".to_string(),
+            warm: "append",
+            shard: Some(0),
         }
+    }
+
+    /// The ring's line format, pinned byte for byte: `/debug/flight`,
+    /// postmortem bundles and `rckt postmortem` read these lines.
+    #[test]
+    fn request_record_encodes_to_a_pinned_line() {
+        let mut r = record(7);
+        r.shard = Some(12);
+        assert_eq!(
+            r.encode(),
+            r#"{"ts":1007,"request_id":"req-7","method":"POST","path":"/predict","students":"7","queue_micros":10,"infer_micros":200,"total_micros":250,"batch":1,"status":200,"warm":"append","shard":"12"}"#
+        );
+        r.students = "";
+        r.warm = "-";
+        r.shard = None;
+        assert_eq!(
+            r.encode(),
+            r#"{"ts":1007,"request_id":"req-7","method":"POST","path":"/predict","students":"","queue_micros":10,"infer_micros":200,"total_micros":250,"batch":1,"status":200,"warm":"-","shard":"-"}"#
+        );
     }
 
     /// Remembering a request must stay cheap next to serving it. Times the
@@ -392,7 +432,8 @@ mod tests {
             request_bytes: 80,
         });
         let mut big = record(0);
-        big.students = "s".repeat(500);
+        let students = "s".repeat(500);
+        big.students = &students;
         rec.record_request(&big);
         let (kept, bytes, evicted) = rec.request_usage();
         assert_eq!((kept, bytes, evicted), (0, 0, 1));

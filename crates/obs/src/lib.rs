@@ -74,7 +74,7 @@ pub use level::{enabled, level, profiling, set_level, set_profiling, Level};
 pub use manifest::{bin_name, git_commit, PhaseTiming, RunManifest};
 pub use metrics::{
     counter, gauge, histogram, histogram_with, metrics_snapshot, reset_metrics, Counter, Gauge,
-    Histogram, HistogramSummary, MetricsSnapshot,
+    Histogram, HistogramSummary, LazyMetric, MetricsSnapshot,
 };
 pub use monitor::{Alert, MonitorConfig, P2Quantile, QualityEvent, QualityMonitor, SCORE_BINS};
 pub use prometheus::{build_info, run_labels, set_build_info, set_run_label};

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Monotonically increasing event tally.
 #[derive(Clone, Debug, Default)]
@@ -231,28 +231,76 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Get or register `name` in `map`. The metric is built only when it is
+/// registered, and looking up a registered name allocates nothing.
+fn get_or_register<T: Clone>(
+    map: &Mutex<BTreeMap<String, T>>,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> T {
+    let mut m = lock(map);
+    if let Some(metric) = m.get(name) {
+        return metric.clone();
+    }
+    let metric = make();
+    m.insert(name.to_string(), metric.clone());
+    metric
+}
+
 /// Get or register the counter `name`.
 pub fn counter(name: &str) -> Counter {
-    lock(&COUNTERS).entry(name.to_string()).or_default().clone()
+    get_or_register(&COUNTERS, name, Counter::default)
 }
 
 /// Get or register the gauge `name`.
 pub fn gauge(name: &str) -> Gauge {
-    lock(&GAUGES).entry(name.to_string()).or_default().clone()
+    get_or_register(&GAUGES, name, Gauge::default)
 }
 
 /// Get or register the histogram `name` with [`default_bounds`].
 pub fn histogram(name: &str) -> Histogram {
-    histogram_with(name, &default_bounds())
+    get_or_register(&HISTOGRAMS, name, || Histogram::new(&default_bounds()))
 }
 
 /// Get or register the histogram `name` with explicit bucket upper bounds
 /// (strictly increasing). Bounds of an already-registered histogram win.
 pub fn histogram_with(name: &str, bounds: &[f64]) -> Histogram {
-    lock(&HISTOGRAMS)
-        .entry(name.to_string())
-        .or_insert_with(|| Histogram::new(bounds))
-        .clone()
+    get_or_register(&HISTOGRAMS, name, || Histogram::new(bounds))
+}
+
+/// A metric handle for a `static` on a hot path: resolved from the
+/// registry by `resolve(name)` on first use, then cached. It registers
+/// exactly when a by-name lookup at the same place would have, so
+/// `/metrics` shows the same metrics, and costs no lookup afterwards.
+///
+/// ```
+/// use rckt_obs::{counter, Counter, LazyMetric};
+/// static SERVED: LazyMetric<Counter> = LazyMetric::new("doc.lazy.served", counter);
+/// SERVED.incr();
+/// assert_eq!(counter("doc.lazy.served").get(), 1);
+/// ```
+pub struct LazyMetric<T> {
+    name: &'static str,
+    resolve: fn(&str) -> T,
+    handle: OnceLock<T>,
+}
+
+impl<T> LazyMetric<T> {
+    pub const fn new(name: &'static str, resolve: fn(&str) -> T) -> Self {
+        LazyMetric {
+            name,
+            resolve,
+            handle: OnceLock::new(),
+        }
+    }
+}
+
+impl<T> std::ops::Deref for LazyMetric<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        self.handle.get_or_init(|| (self.resolve)(self.name))
+    }
 }
 
 /// Point-in-time summary of one histogram.

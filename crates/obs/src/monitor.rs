@@ -274,6 +274,24 @@ impl P2Quantile {
     }
 }
 
+/// Internal dotted name of every gauge a [`QualityMonitor`] can export,
+/// in [`QualityMonitor::gauges`] order.
+pub const GAUGE_NAMES: [&str; 13] = [
+    "quality.auc",
+    "quality.ece",
+    "quality.feedback_count",
+    "quality.score_count",
+    "quality.score_p50",
+    "quality.score_p90",
+    "quality.score_p99",
+    "quality.score_psi",
+    "quality.influence_count",
+    "quality.influence_entropy",
+    "quality.influence_mass_ratio",
+    "quality.influence_sparsity",
+    "quality.alerts",
+];
+
 /// The streaming quality monitor. See the module docs for what it
 /// tracks; [`QualityMonitor::gauges`] is the single source of truth for
 /// exported values, shared by the live `/metrics` path and the offline
@@ -451,31 +469,36 @@ impl QualityMonitor {
     /// monitor that never saw feedback exports no AUC at all rather than
     /// a misleading placeholder.
     pub fn gauges(&self) -> Vec<(&'static str, f64)> {
-        let mut g: Vec<(&'static str, f64)> = Vec::with_capacity(12);
-        if !self.feedback.is_empty() {
-            g.push(("quality.auc", self.auc));
-            g.push(("quality.ece", self.ece));
-            g.push(("quality.feedback_count", self.feedback.len() as f64));
-        }
-        if self.score_count > 0 {
-            g.push(("quality.score_count", self.score_count as f64));
-            g.push(("quality.score_p50", self.p50.value()));
-            g.push(("quality.score_p90", self.p90.value()));
-            g.push(("quality.score_p99", self.p99.value()));
-            if self.reference.is_some() {
-                g.push(("quality.score_psi", self.psi));
-            }
-        }
-        if !self.influence.is_empty() {
-            g.push(("quality.influence_count", self.influence.len() as f64));
-            g.push(("quality.influence_entropy", self.inf_entropy));
-            g.push(("quality.influence_mass_ratio", self.inf_mass_ratio));
-            g.push(("quality.influence_sparsity", self.inf_sparsity));
-        }
-        if self.events > 0 {
-            g.push(("quality.alerts", self.alerts as f64));
-        }
-        g
+        GAUGE_NAMES
+            .iter()
+            .zip(self.gauge_values())
+            .filter_map(|(&name, v)| Some((name, v?)))
+            .collect()
+    }
+
+    /// The value of each of [`GAUGE_NAMES`], `None` while that gauge has
+    /// no data — [`QualityMonitor::gauges`] without the allocation, for
+    /// callers that keep one metric handle per name.
+    pub fn gauge_values(&self) -> [Option<f64>; GAUGE_NAMES.len()] {
+        let feedback = !self.feedback.is_empty();
+        let scores = self.score_count > 0;
+        let influence = !self.influence.is_empty();
+        let when = |has: bool, v: f64| has.then_some(v);
+        [
+            when(feedback, self.auc),
+            when(feedback, self.ece),
+            when(feedback, self.feedback.len() as f64),
+            when(scores, self.score_count as f64),
+            when(scores, self.p50.value()),
+            when(scores, self.p90.value()),
+            when(scores, self.p99.value()),
+            when(scores && self.reference.is_some(), self.psi),
+            when(influence, self.influence.len() as f64),
+            when(influence, self.inf_entropy),
+            when(influence, self.inf_mass_ratio),
+            when(influence, self.inf_sparsity),
+            when(self.events > 0, self.alerts as f64),
+        ]
     }
 
     /// Render the gauges exactly as they appear on `/metrics` (sanitized

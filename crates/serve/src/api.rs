@@ -482,7 +482,7 @@ pub fn predict_batch(
 
 /// Explain a set of requests in one fused `influences_exact` call, padded
 /// to the longest request — the offline path behind `rckt predict
-/// --explain`.
+/// --mode explain`.
 pub fn explain_batch(
     model: &Rckt,
     qm: &QMatrix,

@@ -29,13 +29,34 @@ use crate::cache::{Outcome, SessionCache, SessionKey, SessionStore};
 use crate::{lock_recover, warm};
 use rckt::Rckt;
 use rckt_data::QMatrix;
-use rckt_obs::{counter, gauge, histogram, histogram_with};
+use rckt_obs::{counter, gauge, histogram, histogram_with, Counter, Gauge, Histogram, LazyMetric};
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+// Per-request metrics, resolved from the registry on first use.
+static QUEUE_DEPTH: LazyMetric<Gauge> = LazyMetric::new("serve.queue.depth", gauge);
+static SHED: LazyMetric<Counter> = LazyMetric::new("serve.requests.shed", counter);
+static DEADLINE: LazyMetric<Counter> = LazyMetric::new("serve.requests.deadline", counter);
+static BATCHES: LazyMetric<Counter> = LazyMetric::new("serve.batches", counter);
+static BATCH_SIZE: LazyMetric<Histogram> = LazyMetric::new("serve.batch.size", |name| {
+    histogram_with(name, &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
+});
+static QUEUE_SECONDS: LazyMetric<Histogram> = LazyMetric::new("serve.queue.seconds", histogram);
+static INFER_SECONDS: LazyMetric<Histogram> = LazyMetric::new("serve.infer.seconds", histogram);
+static CACHE_HITS: LazyMetric<Counter> = LazyMetric::new("serve.cache.hits", counter);
+static CACHE_MISSES: LazyMetric<Counter> = LazyMetric::new("serve.cache.misses", counter);
+static CACHE_HIT_RATE: LazyMetric<Gauge> = LazyMetric::new("serve.cache.hit_rate", gauge);
+static PREDICT_WARM: LazyMetric<Counter> = LazyMetric::new("serve.predict.warm", counter);
+static PREDICT_COLD: LazyMetric<Counter> = LazyMetric::new("serve.predict.cold", counter);
+static FALLBACKS: LazyMetric<Counter> = LazyMetric::new("serve.session.fallbacks", counter);
+static POSITIONS_RECOMPUTED: LazyMetric<Histogram> =
+    LazyMetric::new("serve.session.positions_recomputed", |name| {
+        histogram_with(name, &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0])
+    });
 
 /// Everything the worker needs to answer a request: the loaded model,
 /// its question→concept mapping, the history cap, and the session cache.
@@ -151,9 +172,9 @@ struct Shared {
     /// This shard's index within its [`Fleet`] (0 for a standalone
     /// batcher), baked into thread names and the per-shard metric names.
     shard: usize,
-    /// Pre-rendered per-shard metric names (`serve.shard.<i>.depth`,
-    /// `serve.shard.<i>.restarts`) so the hot paths don't format strings.
-    depth_gauge: String,
+    /// This shard's `serve.shard.<i>.depth` gauge, and the pre-rendered
+    /// name of its restart counter, so the hot paths don't format strings.
+    depth_gauge: Gauge,
     restart_counter: String,
     /// Restarts of this shard's worker, bumped (with `restart_counter`)
     /// only once every job queued behind the panicking wave is answered,
@@ -171,7 +192,7 @@ impl Shared {
     /// lock and a signed fleet-wide delta — never from a re-lock that
     /// could race with concurrent pushes.
     fn publish_depth(&self, shard_depth: usize, fleet_delta: isize) {
-        gauge(&self.depth_gauge).set(shard_depth as f64);
+        self.depth_gauge.set(shard_depth as f64);
         let total = if fleet_delta >= 0 {
             self.fleet_depth
                 .fetch_add(fleet_delta as usize, Ordering::AcqRel)
@@ -181,7 +202,7 @@ impl Shared {
                 .fetch_sub((-fleet_delta) as usize, Ordering::AcqRel)
                 .saturating_sub((-fleet_delta) as usize)
         };
-        gauge("serve.queue.depth").set(total as f64);
+        QUEUE_DEPTH.set(total as f64);
     }
 }
 
@@ -222,7 +243,7 @@ impl Batcher {
             max_queue,
             max_batch: max_batch.max(1),
             shard,
-            depth_gauge: format!("serve.shard.{shard}.depth"),
+            depth_gauge: gauge(&format!("serve.shard.{shard}.depth")),
             restart_counter: format!("serve.shard.{shard}.restarts"),
             restarts: AtomicUsize::new(0),
             fleet_depth,
@@ -248,7 +269,7 @@ impl Batcher {
         }
         let mut q = lock_recover(&self.shared.queue);
         if q.len() >= self.shared.max_queue {
-            counter("serve.requests.shed").incr();
+            SHED.incr();
             return Err(ApiError::Overloaded);
         }
         q.push_back(job);
@@ -320,7 +341,7 @@ impl Fleet {
         // Publish the per-shard families at zero so a scrape taken before
         // any traffic still shows every shard.
         for s in &shards {
-            gauge(&s.shared.depth_gauge).set(0.0);
+            s.shared.depth_gauge.set(0.0);
         }
         gauge("serve.workers").set(workers as f64);
         Fleet { shards }
@@ -472,10 +493,8 @@ pub(crate) fn process_wave(engine: &Engine, shard: usize, jobs: Vec<Job>) {
     }
     let now = Instant::now();
     let wave_size = jobs.len();
-    let queue_seconds = histogram("serve.queue.seconds");
-    counter("serve.batches").incr();
-    histogram_with("serve.batch.size", &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
-        .observe(jobs.len() as f64);
+    BATCHES.incr();
+    BATCH_SIZE.observe(jobs.len() as f64);
 
     let timing_for = |job: &Job, infer_secs: f64, cache_hit: bool| JobTiming {
         queue_secs: now.duration_since(job.enqueued).as_secs_f64(),
@@ -488,9 +507,9 @@ pub(crate) fn process_wave(engine: &Engine, shard: usize, jobs: Vec<Job>) {
 
     let mut live: Vec<Job> = Vec::with_capacity(jobs.len());
     for job in jobs {
-        queue_seconds.observe(now.duration_since(job.enqueued).as_secs_f64());
+        QUEUE_SECONDS.observe(now.duration_since(job.enqueued).as_secs_f64());
         if job.deadline.is_some_and(|d| now > d) {
-            counter("serve.requests.deadline").incr();
+            DEADLINE.incr();
             let t = timing_for(&job, 0.0, false);
             let _ = job
                 .reply
@@ -508,18 +527,18 @@ pub(crate) fn process_wave(engine: &Engine, shard: usize, jobs: Vec<Job>) {
     let mut misses: HashMap<SessionKey, Vec<Job>> = HashMap::new();
     for job in live {
         if let Some(out) = engine.cache.get(&job.key) {
-            counter("serve.cache.hits").incr();
+            CACHE_HITS.incr();
             let t = timing_for(&job, 0.0, true);
             let _ = job.reply.send((job.index, Ok(out), t));
         } else {
-            counter("serve.cache.misses").incr();
+            CACHE_MISSES.incr();
             if !misses.contains_key(&job.key) {
                 miss_order.push(job.key.clone());
             }
             misses.entry(job.key.clone()).or_default().push(job);
         }
     }
-    gauge("serve.cache.hit_rate").set(engine.cache.hit_rate());
+    CACHE_HIT_RATE.set(engine.cache.hit_rate());
     if miss_order.is_empty() {
         return;
     }
@@ -566,22 +585,18 @@ pub(crate) fn process_wave(engine: &Engine, shard: usize, jobs: Vec<Job>) {
                 let infer_start = Instant::now();
                 let result = warm::predict_one(engine, &engine.sessions, req);
                 let infer_secs = infer_start.elapsed().as_secs_f64();
-                histogram("serve.infer.seconds").observe(infer_secs);
+                INFER_SECONDS.observe(infer_secs);
                 match result {
                     Ok((item, stats)) => {
                         if stats.is_warm() {
-                            counter("serve.predict.warm").incr();
+                            PREDICT_WARM.incr();
                         } else {
-                            counter("serve.predict.cold").incr();
+                            PREDICT_COLD.incr();
                         }
                         if stats.kind == warm::WarmKind::DivergedRebuild {
-                            counter("serve.session.fallbacks").incr();
+                            FALLBACKS.incr();
                         }
-                        histogram_with(
-                            "serve.session.positions_recomputed",
-                            &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0],
-                        )
-                        .observe(stats.positions_recomputed as f64);
+                        POSITIONS_RECOMPUTED.observe(stats.positions_recomputed as f64);
                         reply_all(
                             key,
                             Ok(Outcome::Predict(item)),
@@ -597,8 +612,8 @@ pub(crate) fn process_wave(engine: &Engine, shard: usize, jobs: Vec<Job>) {
             let result =
                 api::predict_batch(&engine.model, &engine.qm, &predict_reqs, engine.window);
             let infer_secs = infer_start.elapsed().as_secs_f64();
-            histogram("serve.infer.seconds").observe(infer_secs);
-            counter("serve.predict.cold").add(predict_keys.len() as u64);
+            INFER_SECONDS.observe(infer_secs);
+            PREDICT_COLD.add(predict_keys.len() as u64);
             match result {
                 Ok(resp) => {
                     for (key, item) in predict_keys.iter().zip(resp.predictions) {
@@ -622,7 +637,7 @@ pub(crate) fn process_wave(engine: &Engine, shard: usize, jobs: Vec<Job>) {
         let infer_start = Instant::now();
         let result = api::explain_batch(&engine.model, &engine.qm, &explain_reqs, engine.window);
         let infer_secs = infer_start.elapsed().as_secs_f64();
-        histogram("serve.infer.seconds").observe(infer_secs);
+        INFER_SECONDS.observe(infer_secs);
         match result {
             Ok(resp) => {
                 for (key, item) in explain_keys.iter().zip(resp.explanations) {
@@ -952,7 +967,7 @@ mod tests {
             max_queue: 64,
             max_batch,
             shard: 0,
-            depth_gauge: "serve.shard.0.depth".to_string(),
+            depth_gauge: gauge("serve.shard.0.depth"),
             restart_counter: "serve.shard.0.restarts".to_string(),
             restarts: AtomicUsize::new(0),
             fleet_depth: Arc::new(AtomicUsize::new(0)),

@@ -24,9 +24,19 @@ use crate::api::{ExplainResponseItem, PredictResponseItem};
 use crate::batcher::JobRequest;
 use crate::lock_recover;
 use rckt::IncrementalState;
-use rckt_obs::{counter, gauge};
+use rckt_obs::{counter, gauge, Counter, Gauge, LazyMetric};
 use std::collections::HashMap;
 use std::sync::Mutex;
+
+// Occupancy metrics, resolved from the registry on first use.
+static STALE_INVALIDATED: LazyMetric<Counter> =
+    LazyMetric::new("serve.session.stale_invalidated", counter);
+static EVICTIONS: LazyMetric<Counter> = LazyMetric::new("serve.session.evictions", counter);
+static RESIDENT: LazyMetric<Gauge> = LazyMetric::new("serve.session.resident", gauge);
+static STATE_EVICTIONS: LazyMetric<Counter> =
+    LazyMetric::new("serve.session.state_evictions", counter);
+static STATES_RESIDENT: LazyMetric<Gauge> = LazyMetric::new("serve.session.states_resident", gauge);
+static STATE_BYTES: LazyMetric<Gauge> = LazyMetric::new("serve.session.state_bytes", gauge);
 
 /// A finished, cacheable result for one request.
 #[derive(Clone, Debug)]
@@ -176,7 +186,7 @@ impl SessionCache {
             .cloned()
             .collect();
         if !stale.is_empty() {
-            counter("serve.session.stale_invalidated").add(stale.len() as u64);
+            STALE_INVALIDATED.add(stale.len() as u64);
             for k in &stale {
                 g.map.remove(k);
             }
@@ -189,11 +199,11 @@ impl SessionCache {
                 .map(|(k, _)| k.clone())
             {
                 g.map.remove(&oldest);
-                counter("serve.session.evictions").incr();
+                EVICTIONS.incr();
             }
         }
         g.map.insert(key, (tick, value));
-        gauge("serve.session.resident").set(g.map.len() as f64);
+        RESIDENT.set(g.map.len() as f64);
     }
 
     pub fn len(&self) -> usize {
@@ -280,13 +290,13 @@ impl SessionStore {
                 if let Some((_, evicted)) = g.map.remove(&oldest) {
                     g.bytes = g.bytes.saturating_sub(evicted.state_bytes());
                 }
-                counter("serve.session.state_evictions").incr();
+                STATE_EVICTIONS.incr();
             }
         }
         g.bytes += state.state_bytes();
         g.map.insert(student, (tick, state));
-        gauge("serve.session.states_resident").set(g.map.len() as f64);
-        gauge("serve.session.state_bytes").set(g.bytes as f64);
+        STATES_RESIDENT.set(g.map.len() as f64);
+        STATE_BYTES.set(g.bytes as f64);
     }
 
     /// Number of resident session states.

@@ -657,17 +657,17 @@ impl ReqScope<'_> {
                 .duration_since(UNIX_EPOCH)
                 .map(|d| d.as_secs_f64())
                 .unwrap_or(0.0),
-            request_id: self.id.clone(),
-            method: self.method.to_string(),
-            path: self.path.to_string(),
-            students: self.students.borrow().clone(),
+            request_id: &self.id,
+            method: self.method,
+            path: self.path,
+            students: &self.students.borrow(),
             queue_micros: timing.map_or(0, |t| (t.queue_secs * 1e6) as u64),
             infer_micros: timing.map_or(0, |t| (t.infer_secs * 1e6) as u64),
             total_micros: (total_secs * 1e6) as u64,
             batch_size: timing.map_or(0, |t| t.batch_max as u64),
             status: status_code,
-            warm: timing.map_or("-", BatchTiming::warm_label).to_string(),
-            shard: timing.map_or_else(|| "-".to_string(), |t| t.shard.to_string()),
+            warm: timing.map_or("-", BatchTiming::warm_label),
+            shard: timing.map(|t| t.shard),
         });
 
         // SLO accounting (introspection endpoints excluded — see

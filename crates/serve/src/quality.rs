@@ -21,8 +21,8 @@
 //! structured log.
 
 use rckt::InfluenceRecord;
-use rckt_obs::monitor::encode_reference;
-use rckt_obs::{event, gauge, Level, MonitorConfig, QualityEvent, QualityMonitor};
+use rckt_obs::monitor::{encode_reference, GAUGE_NAMES};
+use rckt_obs::{event, gauge, Gauge, Level, MonitorConfig, QualityEvent, QualityMonitor};
 use std::fs::File;
 use std::io::Write as _;
 use std::sync::Mutex;
@@ -32,6 +32,10 @@ struct Inner {
     log: Option<File>,
     events: u64,
     alerts: u64,
+    /// One registry handle per monitor gauge, resolved when that gauge
+    /// first has data (when `/metrics` starts showing it), so an event
+    /// publishes without a registry lookup.
+    gauges: [Option<Gauge>; GAUGE_NAMES.len()],
 }
 
 /// The server's quality monitor + optional quality log. One per
@@ -70,6 +74,7 @@ impl Quality {
                 log,
                 events: 0,
                 alerts: 0,
+                gauges: Default::default(),
             }),
         })
     }
@@ -84,8 +89,11 @@ impl Quality {
         let alerts = g.monitor.ingest(&ev);
         g.events += 1;
         g.alerts += alerts.len() as u64;
-        for (name, v) in g.monitor.gauges() {
-            gauge(name).set(v);
+        let values = g.monitor.gauge_values();
+        for ((handle, name), v) in g.gauges.iter_mut().zip(GAUGE_NAMES).zip(values) {
+            if let Some(v) = v {
+                handle.get_or_insert_with(|| gauge(name)).set(v);
+            }
         }
         drop(g);
         if alerts.is_empty() {
